@@ -1,15 +1,16 @@
-// Minimal threading primitives for the parallel validation pipeline:
+// Minimal threading primitives for the engine and the service:
 //
-//  * BoundedQueue<T> — a blocking bounded MPMC queue. The composer thread
-//    pushes ranked candidates; validation workers pop them. The bound
-//    provides back-pressure so the composer never races arbitrarily far
-//    ahead of validation (candidate queries hold materialized PJQuery
-//    objects and the whole point of ranking is to validate the front of
-//    the order first).
+//  * BoundedQueue<T> — a blocking bounded MPMC queue. With
+//    validation_threads > 1 the composer thread pushes ranked candidates
+//    and validation workers pop them. The bound provides back-pressure so
+//    the composer never races arbitrarily far ahead of validation
+//    (candidate queries hold materialized PJQuery objects and the whole
+//    point of ranking is to validate the front of the order first).
 //  * ThreadPool — a fixed set of workers draining a task queue, with
-//    Wait() to quiesce. Used by stress tests and benchmarks; the QRE
-//    driver itself spawns dedicated per-run workers because their
-//    lifetime matches one mapping's validation phase exactly.
+//    Wait() to quiesce. It backs FastQre's intra-candidate morsel pool and
+//    the service's JobManager workers. Candidate validation does not use
+//    it: FastQre spawns dedicated validation workers per mapping, whose
+//    lifetime matches that mapping's validation phase exactly.
 //  * RunMorsels — a per-batch fork/join over a shared morsel counter for
 //    intra-candidate parallelism (DESIGN.md §12). The caller participates,
 //    so a batch completes even when every pool worker is busy with some

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <memory>
+#include <set>
 #include <thread>
-#include <unordered_set>
 
 #include "common/fault_injection.h"
 #include "common/resource_governor.h"
@@ -57,157 +59,182 @@ Result<Table> NormalizeRout(const Database& db, const Table& rout) {
   return out;
 }
 
-// ---- Parallel candidate validation ------------------------------------------
+// ---- Rank-ordered validation (DESIGN.md §8) ---------------------------------
 //
-// With QreOptions::validation_threads > 1, the composer stays on the calling
-// thread and feeds ranked candidates (tagged with a rank sequence number)
-// into a bounded queue drained by N workers, each validating with its own
-// QueryCursor against the shared thread-safe Database caches and Feedback.
-//
-// Determinism protocol (DESIGN.md §8): the answer must be byte-identical to
-// a serial run, so a generating verdict at rank s is only *accepted* after
-// every rank < s has completed non-generating (the rank barrier, enforced at
-// finalization by scanning outcomes in rank order). Conversely, once the
-// `need`-th generating candidate is known at rank f, candidates ranked below
-// it (seq > f) are cancelled: queued ones are dropped, in-flight ones are
-// interrupted through the executor's interrupt callback. Feedback published
-// by workers is conservative (it only ever dismisses provably non-generating
-// subtrees), so sharing it across threads reorders *work*, never *answers*.
+// The calling thread submits a mapping's candidates in rank order, tagged
+// with a sequence number, and takes their outcomes back in that order. With
+// QreOptions::validation_threads == 1, Submit() validates inline; with
+// N > 1 it pushes onto a bounded queue (capacity 2N) drained by N workers
+// that share the thread-safe Database caches and Feedback. Releasing in rank
+// order is the rank barrier: a generating verdict at rank s is acted on only
+// after every rank < s completed non-generating, so the answers are
+// byte-identical to a serial run's. Once the `need`-th generating rank f is
+// known, ranks > f are cancelled: dropped from the queue, or interrupted in
+// flight through the executor's interrupt callback. Shared feedback only
+// dismisses provably non-generating subtrees, so it reorders work, never
+// answers.
 
 // One validated (or cancelled) candidate, tagged with its rank.
 struct RankedOutcome {
   uint64_t seq = 0;
   CandidateQuery cand;
   CandidateOutcome outcome = CandidateOutcome::kError;
-  // True if validation was skipped or interrupted because a better-ranked
-  // generating candidate had already won (not a real budget expiry).
-  bool cancelled = false;
 };
 
-struct ParallelMappingResult {
-  std::vector<RankedOutcome> outcomes;  // sorted by rank
-  bool budget_exhausted = false;
-};
+class RankedValidation {
+ public:
+  using Interrupt = std::function<bool()>;
+  // Validates one candidate, polling the interrupt.
+  using ValidateFn =
+      std::function<CandidateOutcome(const CandidateQuery&, Interrupt)>;
 
-// Runs one mapping's candidate stream through the validation worker pool.
-// `need_answers` is how many more generating queries the caller wants; the
-// pool cancels candidates ranked below the need_answers-th generating one.
-ParallelMappingResult RunMappingParallel(
-    const Database* db, const Table* rout, const TupleSet* rout_set,
-    const ColumnMapping* mapping, const std::vector<Walk>* walks,
-    const QreOptions* options, Feedback* feedback, QreStats* stats,
-    WalkCache* walk_cache, const std::function<bool()>& budget_exceeded,
-    RankedComposer* composer, int need_answers, ResourceGovernor* governor,
-    const ExecPolicy& policy) {
-  struct Item {
-    uint64_t seq;
-    CandidateQuery cand;
-  };
-  constexpr uint64_t kNoFloor = std::numeric_limits<uint64_t>::max();
-  const int num_workers = std::max(1, options->validation_threads);
-  const size_t capacity =
-      options->validation_queue_capacity > 0
-          ? static_cast<size_t>(options->validation_queue_capacity)
-          : static_cast<size_t>(2 * num_workers);
-  BoundedQueue<Item> queue(capacity);
-
-  // Ranks strictly greater than cancel_floor can no longer affect the
-  // answer set and are cancelled.
-  std::atomic<uint64_t> cancel_floor{kNoFloor};
-  std::atomic<bool> hard_abort{false};  // real time-budget expiry
-  Mutex mu;                             // guards outcomes + generating_seqs
-  ParallelMappingResult result;
-  std::vector<uint64_t> generating_seqs;  // sorted ranks of generating hits
-
-  auto worker = [&] {
-    Item item;
-    while (queue.Pop(&item)) {
-      // Fault site "parallel-worker": fires once per dequeued candidate, so
-      // a cancel/delay schedule can target the exact worker iteration that
-      // races the rank barrier (DESIGN.md §11).
-      if (governor != nullptr) governor->FaultPoint("parallel-worker");
-      const uint64_t seq = item.seq;
-      if (hard_abort.load(std::memory_order_relaxed) ||
-          seq > cancel_floor.load(std::memory_order_relaxed)) {
-        ++stats->candidates_cancelled;
-        MutexLock lock(&mu);
-        result.outcomes.push_back(RankedOutcome{
-            seq, std::move(item.cand), CandidateOutcome::kBudgetExhausted,
-            /*cancelled=*/true});
-        continue;
-      }
-      auto interrupt = [&, seq] {
-        return hard_abort.load(std::memory_order_relaxed) ||
-               seq > cancel_floor.load(std::memory_order_relaxed) ||
-               (budget_exceeded && budget_exceeded());
-      };
-      Validator validator(db, rout, rout_set, mapping, walks, options,
-                          feedback, stats, walk_cache, interrupt, policy);
-      CandidateOutcome outcome = validator.Validate(item.cand);
-      bool cancelled = false;
-      if (outcome == CandidateOutcome::kBudgetExhausted) {
-        if (budget_exceeded && budget_exceeded()) {
-          hard_abort.store(true, std::memory_order_relaxed);
-        } else {
-          cancelled = true;  // interrupted by the rank-cancellation signal
-          ++stats->candidates_cancelled;
+  // Cancels ranks below the `need_answers`-th generating one. Every pointer
+  // must outlive this object.
+  RankedValidation(const QreOptions* options, size_t need_answers,
+                   ValidateFn validate, std::function<bool()> budget_exceeded,
+                   Feedback* feedback, QreStats* stats,
+                   ResourceGovernor* governor)
+      : options_(options),
+        need_answers_(need_answers),
+        validate_(std::move(validate)),
+        budget_exceeded_(std::move(budget_exceeded)),
+        feedback_(feedback),
+        stats_(stats),
+        governor_(governor) {
+    const int threads = options_->validation_threads;
+    if (threads <= 1) return;
+    queue_ = std::make_unique<BoundedQueue<RankedOutcome>>(2 * threads);
+    workers_.reserve(static_cast<size_t>(threads));
+    for (int i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] {
+        RankedOutcome ro;
+        while (queue_->Pop(&ro)) {
+          // Fault site "parallel-worker": fires once per dequeued candidate,
+          // so a cancel/delay schedule can target the exact worker
+          // iteration that races the rank barrier (DESIGN.md §11).
+          if (governor_ != nullptr) governor_->FaultPoint("parallel-worker");
+          Validate(std::move(ro));
         }
-      } else {
-        ++stats->candidates_validated;
-        if (outcome == CandidateOutcome::kMissingTuples &&
-            options->use_feedback_pruning && !item.cand.walk_ids.empty()) {
-          feedback->AddDeadSet(item.cand.walk_ids);
-        }
-      }
-      MutexLock lock(&mu);
-      if (outcome == CandidateOutcome::kGenerating) {
-        generating_seqs.insert(
-            std::upper_bound(generating_seqs.begin(), generating_seqs.end(),
-                             seq),
-            seq);
-        if (generating_seqs.size() >= static_cast<size_t>(need_answers)) {
-          uint64_t floor = generating_seqs[need_answers - 1];
-          uint64_t cur = cancel_floor.load(std::memory_order_relaxed);
-          while (floor < cur && !cancel_floor.compare_exchange_weak(
-                                    cur, floor, std::memory_order_relaxed)) {
-          }
-        }
-      }
-      result.outcomes.push_back(
-          RankedOutcome{seq, std::move(item.cand), outcome, cancelled});
+      });
     }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) threads.emplace_back(worker);
-
-  // Producer: drain the composer in rank order until the candidate cap, the
-  // budget, the cancellation floor, or lattice exhaustion stops it.
-  CandidateQuery cand;
-  uint64_t seq = 0;
-  while (seq < options->max_candidates_per_mapping &&
-         !hard_abort.load(std::memory_order_relaxed) &&
-         cancel_floor.load(std::memory_order_relaxed) == kNoFloor &&
-         composer->Next(&cand)) {
-    ++stats->candidates_generated;
-    if (budget_exceeded && budget_exceeded()) {
-      hard_abort.store(true, std::memory_order_relaxed);
-      break;
-    }
-    if (!queue.Push(Item{seq, std::move(cand)})) break;
-    ++seq;
   }
-  queue.Close();
-  for (auto& t : threads) t.join();
 
-  result.budget_exhausted = hard_abort.load(std::memory_order_relaxed);
-  std::sort(result.outcomes.begin(), result.outcomes.end(),
-            [](const RankedOutcome& a, const RankedOutcome& b) {
-              return a.seq < b.seq;
-            });
-  return result;
-}
+  // Workers hold `this`; the destructor joins them.
+  RankedValidation(const RankedValidation&) = delete;
+  RankedValidation& operator=(const RankedValidation&) = delete;
+  ~RankedValidation() { Finish(); }
+
+  // False once further candidates cannot change the answers: the run
+  // stopped, or the need_answers-th generating rank is known.
+  bool accepting() const {
+    return !hard_abort_.load(std::memory_order_relaxed) &&
+           cancel_floor_.load(std::memory_order_relaxed) == kNoFloor;
+  }
+
+  // Validates candidate `seq` — the next rank — inline, or queues it.
+  void Submit(uint64_t seq, CandidateQuery cand) {
+    RankedOutcome ro{seq, std::move(cand)};
+    if (queue_ == nullptr) {
+      Validate(std::move(ro));
+    } else if (!queue_->Push(std::move(ro))) {
+      return;  // closed by Finish()
+    }
+    ++submitted_;
+  }
+
+  // Moves the outcome of the next unreleased rank into `out`. With `wait`,
+  // blocks until that rank completes. False if it has not completed (no
+  // `wait`) or every submitted rank has already been released.
+  bool Release(RankedOutcome* out, bool wait) {
+    if (released_ == submitted_) return false;
+    MutexLock lock(&mu_);
+    // Ranks leave in order, so the next one is the smallest completed key.
+    while (wait && (done_.empty() || done_.begin()->first != released_)) {
+      completed_.Wait(mu_);
+    }
+    if (done_.empty() || done_.begin()->first != released_) return false;
+    *out = std::move(done_.begin()->second);
+    done_.erase(done_.begin());
+    ++released_;
+    return true;
+  }
+
+  // Stops production and joins the workers, which drop the queued ranks
+  // that became moot. Idempotent.
+  void Finish() {
+    if (queue_ == nullptr) return;
+    queue_->Close();
+    for (auto& t : workers_) t.join();
+    workers_.clear();
+  }
+
+ private:
+  static constexpr uint64_t kNoFloor = std::numeric_limits<uint64_t>::max();
+
+  // Validates `ro` unless its rank is moot, records the verdict's side
+  // effects, and hands the outcome to the rank frontier.
+  void Validate(RankedOutcome ro) {
+    const uint64_t seq = ro.seq;
+    auto moot = [this, seq] {
+      return hard_abort_.load(std::memory_order_relaxed) ||
+             seq > cancel_floor_.load(std::memory_order_relaxed);
+    };
+    auto interrupt = [&] { return moot() || budget_exceeded_(); };
+    ro.outcome = moot() ? CandidateOutcome::kBudgetExhausted
+                        : validate_(ro.cand, interrupt);
+    if (ro.outcome == CandidateOutcome::kBudgetExhausted) {
+      if (budget_exceeded_()) {
+        hard_abort_.store(true, std::memory_order_relaxed);  // run stopped
+      } else {
+        ++stats_->candidates_cancelled;  // a better-ranked answer won
+      }
+    } else {
+      ++stats_->candidates_validated;
+      if (ro.outcome == CandidateOutcome::kMissingTuples &&
+          options_->use_feedback_pruning && !ro.cand.walk_ids.empty()) {
+        feedback_->AddDeadSet(ro.cand.walk_ids);
+      }
+    }
+    MutexLock lock(&mu_);
+    if (ro.outcome == CandidateOutcome::kGenerating) {
+      generating_.insert(seq);
+      // The need_answers-th smallest generating rank only ever moves down.
+      if (generating_.size() >= need_answers_) {
+        cancel_floor_.store(*std::next(generating_.begin(), need_answers_ - 1),
+                            std::memory_order_relaxed);
+      }
+    }
+    done_.emplace(seq, std::move(ro));
+    completed_.NotifyAll();
+  }
+
+  const QreOptions* options_;
+  const size_t need_answers_;
+  const ValidateFn validate_;
+  const std::function<bool()> budget_exceeded_;
+  Feedback* feedback_;
+  QreStats* stats_;
+  ResourceGovernor* governor_;
+
+  std::unique_ptr<BoundedQueue<RankedOutcome>> queue_;  // null: inline
+
+  // Ranks strictly greater than cancel_floor_ can no longer affect the
+  // answers and are cancelled.
+  std::atomic<uint64_t> cancel_floor_{kNoFloor};
+  std::atomic<bool> hard_abort_{false};  // the run itself stopped
+
+  Mutex mu_;
+  CondVar completed_;
+  // The rank frontier: completed outcomes not yet released, by rank.
+  std::map<uint64_t, RankedOutcome> done_ GUARDED_BY(mu_);
+  std::set<uint64_t> generating_ GUARDED_BY(mu_);
+
+  // Calling thread only.
+  uint64_t submitted_ = 0;
+  uint64_t released_ = 0;
+
+  std::vector<std::thread> workers_;  // last: they use every member above
+};
 
 }  // namespace
 
@@ -368,8 +395,8 @@ Result<std::vector<QreAnswer>> FastQre::ReverseAll(
   std::vector<QreAnswer> answers;
   // Single append point for the result vector: every entry is streamed to
   // `on_answer` exactly as it is committed, so the streamed sequence is the
-  // returned vector (DESIGN.md §15). All three call sites run on this
-  // thread after the rank barrier, so the callback never races itself.
+  // returned vector (DESIGN.md §15). Both call sites run on this thread
+  // after the rank barrier, so the callback never races itself.
   auto publish = [&](QreAnswer a) {
     answers.push_back(std::move(a));
     if (on_answer) on_answer(answers.back());
@@ -451,133 +478,79 @@ Result<std::vector<QreAnswer>> FastQre::ReverseAll(
     Feedback feedback(walks.size());
     RankedComposer composer(db_, &mapping, &walks, &options_, &feedback,
                             budget_exceeded);
+    auto validate = [&](const CandidateQuery& cand,
+                        std::function<bool()> interrupt) {
+      Validator validator(db_, &norm_rout, &rout_set, &mapping, &walks,
+                          &options_, &feedback, &stats, walk_cache_.get(),
+                          std::move(interrupt), exec_policy);
+      return validator.Validate(cand);
+    };
+    const size_t need = static_cast<size_t>(limit) - answers.size();
+    RankedValidation validation(&options_, need, validate, budget_exceeded,
+                                &feedback, &stats, governor_.get());
 
-    if (options_.validation_threads > 1) {
-      // ---- Parallel validation path --------------------------------------
-      const int need = limit - static_cast<int>(answers.size());
-      ParallelMappingResult pr = RunMappingParallel(
-          db_, &norm_rout, &rout_set, &mapping, &walks, &options_, &feedback,
-          &stats, walk_cache_.get(), budget_exceeded, &composer, need,
-          governor_.get(), exec_policy);
-      stats.candidates_pruned_dead += composer.sets_pruned_dead();
-      stats.walk_sets_expanded += composer.sets_expanded();
-
-      // Finalize in rank order. An outcome counts toward the answer only
-      // while the rank prefix is complete (every lower rank finished
-      // non-generating) — the rank barrier that makes the answer identical
-      // to a serial run's.
-      if (options_.collect_trace) {
-        for (const auto& ro : pr.outcomes) {
-          trace.candidates.push_back(QreTrace::Candidate{
-              m, ro.cand.query.ToSql(*db_), ro.cand.dc, ro.cand.alpha_cost,
-              ro.cancelled ? "cancelled"
-                           : CandidateOutcomeToString(ro.outcome)});
-        }
-      }
-      bool prefix_complete = true;
-      uint64_t expected_seq = 0;
-      for (const auto& ro : pr.outcomes) {
-        if (ro.seq != expected_seq) prefix_complete = false;
-        expected_seq = ro.seq + 1;
-        if (!prefix_complete) break;
-        if (ro.cancelled || ro.outcome == CandidateOutcome::kBudgetExhausted) {
-          prefix_complete = false;
-          break;
-        }
-        if (ro.outcome == CandidateOutcome::kGenerating &&
-            static_cast<int>(answers.size()) < limit) {
-          QreAnswer a;
-          a.found = true;
-          a.query = ro.cand.query;
-          a.sql = ro.cand.query.ToSql(*db_);
-          a.num_instances = ro.cand.query.num_instances();
-          a.num_joins = ro.cand.query.joins().size();
-          a.trace = trace;
-          a.stats = stats;
-          attach_run_stats(&a);
-          publish(std::move(a));
-          // Fault site "answer-found": fires once per accepted answer, so a
-          // cancel@n schedule can truncate ReverseAll() after exactly n
-          // answers (the truncation-semantics regression tests).
-          governor_->FaultPoint("answer-found");
-        }
-      }
-      if (static_cast<int>(answers.size()) >= limit) return answers;
-      if (pr.budget_exhausted || !prefix_complete) {
-        return aborted(stop_reason());
-      }
-      continue;  // next mapping
-    }
-
-    // ---- Serial validation path (validation_threads == 1) ----------------
-    Validator validator(db_, &norm_rout, &rout_set, &mapping, &walks,
-                        &options_, &feedback, &stats, walk_cache_.get(),
-                        budget_exceeded, exec_policy);
-
-    CandidateQuery candidate;
-    uint64_t tried = 0;
-    while (tried < options_.max_candidates_per_mapping &&
-           composer.Next(&candidate)) {
-      ++tried;
-      ++stats.candidates_generated;
-      if (budget_exceeded()) return aborted(stop_reason());
-
-      CandidateOutcome outcome = validator.Validate(candidate);
-      if (outcome != CandidateOutcome::kBudgetExhausted) {
-        ++stats.candidates_validated;
-      }
+    // Handles one outcome, strictly in rank order: the one place answers
+    // are published. Returns false when the mapping's search is over — the
+    // limit was reached or the run stopped.
+    auto handle = [&](const RankedOutcome& ro) {
       if (options_.collect_trace) {
         trace.candidates.push_back(QreTrace::Candidate{
-            m, candidate.query.ToSql(*db_), candidate.dc, candidate.alpha_cost,
-            CandidateOutcomeToString(outcome)});
+            m, ro.cand.query.ToSql(*db_), ro.cand.dc, ro.cand.alpha_cost,
+            CandidateOutcomeToString(ro.outcome)});
       }
-      switch (outcome) {
-        case CandidateOutcome::kGenerating: {
-          QreAnswer a;
-          a.found = true;
-          a.query = candidate.query;
-          a.sql = candidate.query.ToSql(*db_);
-          a.num_instances = candidate.query.num_instances();
-          a.num_joins = candidate.query.joins().size();
-          // Fold the composer counters in before snapshotting the stats.
-          a.trace = trace;
-          a.stats = stats;
-          a.stats.candidates_pruned_dead += composer.sets_pruned_dead();
-          a.stats.walk_sets_expanded += composer.sets_expanded();
-          attach_run_stats(&a);
-          publish(std::move(a));
-          // See the parallel path: per-answer fault site for truncation
-          // tests.
-          governor_->FaultPoint("answer-found");
-          if (static_cast<int>(answers.size()) >= limit) {
-            return answers;
-          }
-          break;
-        }
-        case CandidateOutcome::kMissingTuples:
-          if (options_.use_feedback_pruning && !candidate.walk_ids.empty()) {
-            feedback.AddDeadSet(candidate.walk_ids);
-          }
-          break;
-        case CandidateOutcome::kIncoherentWalk:
-          // The validator already memoized the incoherent walk in feedback.
-          break;
-        case CandidateOutcome::kExtraTuples:
-        case CandidateOutcome::kError:
-          break;  // only this candidate is dismissed
-        case CandidateOutcome::kBudgetExhausted:
-          // Validate() only reports this for a *global* stop (candidate-local
-          // memory refusals surface as kError and dismiss one candidate).
-          return aborted(stop_reason());
-      }
+      // A released kBudgetExhausted is always a *global* stop: candidate-
+      // local memory refusals surface as kError and dismiss one candidate,
+      // and no rank up to the need-th generating one is ever cancelled.
+      if (ro.outcome == CandidateOutcome::kBudgetExhausted) return false;
+      if (ro.outcome != CandidateOutcome::kGenerating) return true;
+      const bool last = static_cast<int>(answers.size()) + 1 >= limit;
+      // The answer that reaches the limit waits for the workers to join, so
+      // its stats count every cancelled speculative candidate.
+      if (last) validation.Finish();
+      QreAnswer a;
+      a.found = true;
+      a.query = ro.cand.query;
+      a.sql = ro.cand.query.ToSql(*db_);
+      a.num_instances = ro.cand.query.num_instances();
+      a.num_joins = ro.cand.query.joins().size();
+      a.trace = trace;
+      // Fold the composer counters in before snapshotting the stats.
+      a.stats = stats;
+      a.stats.candidates_pruned_dead += composer.sets_pruned_dead();
+      a.stats.walk_sets_expanded += composer.sets_expanded();
+      attach_run_stats(&a);
+      publish(std::move(a));
+      // Fault site "answer-found": fires once per published answer, so a
+      // cancel@n schedule can truncate ReverseAll() after exactly n answers
+      // (the truncation-semantics regression tests).
+      governor_->FaultPoint("answer-found");
+      return !last && !run.ShouldStop();
+    };
+
+    // Compose and submit in rank order, releasing every outcome whose rank
+    // prefix is complete; then drain the ranks still in flight. A stop ends
+    // production, and the drain still releases what completed before it.
+    bool open = true;
+    RankedOutcome ro;
+    CandidateQuery candidate;
+    uint64_t seq = 0;
+    while (open && seq < options_.max_candidates_per_mapping &&
+           validation.accepting() && composer.Next(&candidate)) {
+      ++stats.candidates_generated;
+      if (budget_exceeded()) break;
+      validation.Submit(seq++, std::move(candidate));
+      while (open && validation.Release(&ro, /*wait=*/false)) open = handle(ro);
     }
+    while (open && validation.Release(&ro, /*wait=*/true)) open = handle(ro);
+    validation.Finish();
     stats.candidates_pruned_dead += composer.sets_pruned_dead();
     stats.walk_sets_expanded += composer.sets_expanded();
+    if (static_cast<int>(answers.size()) >= limit) return answers;
+    if (run.ShouldStop()) return aborted(stop_reason());
   }
 
-  // A stop that fired between candidates (e.g. an injected cancel right
-  // after an accepted answer) still truncates: report it before returning a
-  // below-limit answer set as complete.
+  // A stop that ended the mapping enumeration still truncates: report it
+  // before returning a below-limit answer set as complete.
   if (run.ShouldStop()) return aborted(stop_reason());
   if (!answers.empty()) return answers;
   return aborted("search space exhausted without finding a generating query");

@@ -42,11 +42,13 @@ struct QreTrace {
     double dc;
     double alpha_cost;
     /// "generating", "missing-tuples", "extra-tuples", "incoherent-walk",
-    /// "cancelled" (parallel runs: a better-ranked candidate won first), ...
+    /// "budget-exhausted" (the run stopped), "error".
     std::string outcome;
   };
-  /// In candidate rank order; parallel runs re-sort completion-order results
-  /// back into rank order before the trace is published.
+  /// In candidate rank order at every thread count: a candidate is traced
+  /// when its outcome is released in rank order (DESIGN.md §8). Speculative
+  /// candidates a parallel run cancels are counted in
+  /// QreStats::candidates_cancelled, not traced.
   std::vector<Candidate> candidates;
 
   /// Multi-line rendering for logs / the CLI.
@@ -80,11 +82,13 @@ struct QreAnswer {
 ///
 /// Reverse()/ReverseAll() are const and thread-safe: the Database's lazy
 /// caches build each entry exactly once under internal synchronization, so
-/// concurrent Reverse() calls may share one Database instance. With
-/// QreOptions::validation_threads > 1 a single Reverse() call additionally
-/// validates candidates on a worker pool; the answer is deterministic
-/// (byte-identical SQL) regardless of thread count — see DESIGN.md §8 for
-/// the rank-barrier protocol.
+/// concurrent Reverse() calls may share one Database instance. Each column
+/// mapping's candidates go through one rank-ordered validation loop: they
+/// are validated inline on the calling thread (validation_threads == 1) or
+/// by that many worker threads spawned for the mapping, and their outcomes
+/// are released strictly in rank order. Answers are therefore
+/// deterministic (byte-identical SQL) regardless of thread count — see
+/// DESIGN.md §8 for the rank-barrier protocol.
 class FastQre {
  public:
   /// `db` must outlive the engine.

@@ -70,18 +70,14 @@ struct QreOptions {
   std::string fault_spec;
 
   /// Number of threads validating candidate queries concurrently. 1 (the
-  /// default) keeps the exact serial pipeline; N > 1 runs the composer on
-  /// the calling thread feeding a bounded queue drained by N workers, each
-  /// with its own QueryCursor. Answers are deterministic regardless of N:
-  /// a generating candidate is only accepted once every higher-ranked
-  /// candidate has completed non-generating (the rank barrier), so the SQL
-  /// returned is byte-identical to a serial run.
+  /// default) validates each candidate inline on the calling thread; N > 1
+  /// runs the composer on the calling thread feeding a bounded queue
+  /// (capacity 2N) drained by N workers, each with its own QueryCursor.
+  /// Answers are deterministic regardless of N: outcomes are released in
+  /// rank order, so a generating candidate is only accepted once every
+  /// higher-ranked candidate has completed non-generating (the rank
+  /// barrier), and the SQL returned is byte-identical to a serial run.
   int validation_threads = 1;
-
-  /// Capacity of the composer→worker candidate queue per mapping; 0 derives
-  /// 2 × validation_threads. The bound back-pressures the composer so it
-  /// never runs arbitrarily far ahead of the rank frontier.
-  int validation_queue_capacity = 0;
 
   /// Workers (including the validating thread itself) executing morsels
   /// *inside* one candidate's materializing checks — block evaluation and

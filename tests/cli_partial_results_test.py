@@ -12,7 +12,10 @@ Drives the real binary end to end:
      including the truncation tail with "failure_reason":"cancelled" —
      valid JSON,
   4. the same reverse without faults: exit 0 and a found:true JSON line,
-  5. reverse with no arguments: usage error, exit 2.
+  5. reverse with no arguments: usage error, exit 2,
+  6. malformed numeric flags (`--threads four`, `--memory-budget-mb 1g`,
+     `--scale tiny`): usage error naming the flag, exit 2 — never a silent
+     fallback to the default.
 """
 
 import argparse
@@ -124,6 +127,24 @@ def main():
         proc = run(opts.binary, ["reverse"])
         check(proc.returncode == 2,
               "usage error: want exit 2, got %d" % proc.returncode)
+
+        # --- Malformed numeric flags: exit 2, flag named on stderr. -------
+        for args, flag in (
+            (["reverse", "--db", db, "--rout", rout, "--threads", "four"],
+             "threads"),
+            (["reverse", "--db", db, "--rout", rout, "--memory-budget-mb",
+              "1g"], "memory-budget-mb"),
+            (["gen-tpch", "--out", os.path.join(scratch, "db2"), "--scale",
+              "tiny"], "scale"),
+        ):
+            proc = run(opts.binary, args)
+            check(proc.returncode == 2,
+                  "bad --%s: want exit 2, got %d" % (flag, proc.returncode))
+            check("error: --%s expects a number" % flag in proc.stderr,
+                  "bad --%s: missing error message, stderr: %s"
+                  % (flag, proc.stderr))
+            check("SELECT" not in proc.stdout,
+                  "bad --%s: must not run: %s" % (flag, proc.stdout))
 
     if FAILURES:
         print("%d check(s) failed" % len(FAILURES))

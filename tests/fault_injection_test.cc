@@ -291,23 +291,33 @@ TEST_F(FaultInjectionTest, ReverseAllKeepsFoundAnswersOnCancel) {
   auto workload = StandardTpchWorkload(db).ValueOrDie();
   auto baseline =
       FastQre(&db, QreOptions()).ReverseAll(workload[3].rout, 3).ValueOrDie();
-  ASSERT_GE(baseline.size(), 1u);
+  ASSERT_GE(baseline.size(), 2u);
   ASSERT_TRUE(baseline[0].found);
+  ASSERT_TRUE(baseline[1].found);
 
-  // Cancel right after the first accepted answer: the answer survives and
-  // the truncated tail says why enumeration stopped.
-  QreOptions opts;
-  opts.fault_spec = "answer-found=cancel@1";
-  Database db2 = FreshDb();
-  auto workload2 = StandardTpchWorkload(db2).ValueOrDie();
-  FastQre engine(&db2, opts);
-  auto got = engine.ReverseAll(workload2[3].rout, 3).ValueOrDie();
-  ASSERT_GE(got.size(), 2u);
-  EXPECT_TRUE(got[0].found);
-  EXPECT_EQ(got[0].sql, baseline[0].sql);
-  EXPECT_FALSE(got.back().found);
-  EXPECT_EQ(got.back().failure_reason, "cancelled");
-  EXPECT_TRUE(got.back().stats.cancelled);
+  // Cancel right after the n-th accepted answer: at every thread count the
+  // first n answers survive, and the truncated tail says why enumeration
+  // stopped. Speculative workers may already have proved later answers;
+  // the stop must still truncate the stream exactly where a serial run does.
+  for (int threads : {1, 4, 8}) {
+    for (size_t n : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " cancel@" +
+                   std::to_string(n));
+      QreOptions opts;
+      opts.validation_threads = threads;
+      opts.fault_spec = "answer-found=cancel@" + std::to_string(n);
+      FastQre engine(&db, opts);
+      auto got = engine.ReverseAll(workload[3].rout, 3).ValueOrDie();
+      ASSERT_EQ(got.size(), n + 1);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(got[i].found) << i;
+        EXPECT_EQ(got[i].sql, baseline[i].sql) << i;
+      }
+      EXPECT_FALSE(got.back().found);
+      EXPECT_EQ(got.back().failure_reason, "cancelled");
+      EXPECT_TRUE(got.back().stats.cancelled);
+    }
+  }
 }
 
 // ---- Memory budgets ---------------------------------------------------------

@@ -142,6 +142,23 @@ TEST_F(ParallelQreTest, ReverseAllEnumeratesIdenticalAnswerLists) {
   }
 }
 
+TEST_F(ParallelQreTest, LimitAnswerStatsCountEverySpeculativeCandidate) {
+  // The answer that reaches the limit is published only after the workers
+  // join, so its stats account for every generated candidate: validated to
+  // completion, or cancelled as speculation ranked behind the winner.
+  for (const auto& wq : workload_) {
+    for (int threads : {1, 4, 8}) {
+      QreOptions opts;
+      opts.validation_threads = threads;
+      FastQre engine(&db_, opts);
+      QreAnswer a = engine.Reverse(wq.rout).ValueOrDie();
+      SCOPED_TRACE(wq.name + " threads=" + std::to_string(threads));
+      EXPECT_EQ(a.stats.candidates_validated + a.stats.candidates_cancelled,
+                a.stats.candidates_generated);
+    }
+  }
+}
+
 TEST_F(ParallelQreTest, ParallelAnswerStillRegenerates) {
   QreOptions opts;
   opts.validation_threads = 4;

@@ -37,6 +37,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -85,6 +86,14 @@ int Usage() {
   return 2;
 }
 
+// A malformed numeric flag is a usage error, never a silent fallback to the
+// default (`--threads four` must not quietly run serially). Commands read
+// their flags before starting any thread, so exiting here is safe.
+[[noreturn]] void BadNumber(const std::string& name) {
+  std::fprintf(stderr, "error: --%s expects a number\n", name.c_str());
+  std::exit(2);
+}
+
 // Tiny flag parser: --name value and boolean --name.
 struct Flags {
   std::map<std::string, std::string> values;
@@ -95,12 +104,12 @@ struct Flags {
   }
   double GetDouble(const std::string& name, double fallback) const {
     double out = fallback;
-    if (Has(name)) (void)ParseDouble(Get(name), &out);
+    if (Has(name) && !ParseDouble(Get(name), &out)) BadNumber(name);
     return out;
   }
   int64_t GetInt(const std::string& name, int64_t fallback) const {
     int64_t out = fallback;
-    if (Has(name)) (void)ParseInt64(Get(name), &out);
+    if (Has(name) && !ParseInt64(Get(name), &out)) BadNumber(name);
     return out;
   }
 };
