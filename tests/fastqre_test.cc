@@ -1,5 +1,7 @@
 // End-to-end tests of the FastQre driver: both QRE variants, answer
 // enumeration, option ablations, input validation, budgets, CSV ingestion.
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "baseline/naive.h"
@@ -172,6 +174,10 @@ struct AblationSpec {
   const char* name;
   void (*apply)(QreOptions*);
 };
+
+// Without this, gtest prints the spec's raw pointer bytes into the listed
+// test name, and address randomisation changes that name on every run.
+void PrintTo(const AblationSpec& spec, std::ostream* os) { *os << spec.name; }
 
 class AblationTest : public ::testing::TestWithParam<AblationSpec> {};
 
