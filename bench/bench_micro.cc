@@ -110,9 +110,8 @@ BENCHMARK(BM_LookupBatch)->Arg(1)->Arg(7);
 
 void BM_MorselFullCheck(benchmark::State& state) {
   // The all-tuple subset-probe pass of one candidate's full check: one
-  // fully-bound point probe per R_out tuple. Arg(0) = the legacy kernel
-  // (replan a fresh cursor per tuple); Arg(1) = the morsel kernel (plan
-  // once, Rebind per tuple) — the E14 convoy-tail mechanism isolated.
+  // fully-bound point probe per R_out tuple, through one planned cursor
+  // rebound per tuple (the E14 convoy-tail mechanism isolated).
   Database db = BuildTpch({.scale_factor = 0.01, .seed = 1}).ValueOrDie();
   QueryBuilder b(&db);
   InstanceId o = b.Instance("orders");
@@ -123,45 +122,28 @@ void BM_MorselFullCheck(benchmark::State& state) {
   PJQuery q = b.Build().ValueOrDie();
   Table rout = ExecuteToTable(db, q, "rout").ValueOrDie();
   const auto projections = q.projections();
-  const bool batched = state.range(0) != 0;
   uint64_t probes = 0;
   for (auto _ : state) {
     std::vector<ValueId> row;
-    if (batched) {
-      PJQuery probe = q;
-      for (size_t j = 0; j < projections.size(); ++j) {
-        probe.AddSelection(projections[j].instance, projections[j].column,
-                           rout.column(static_cast<ColumnId>(j)).at(0));
+    PJQuery probe = q;
+    for (size_t j = 0; j < projections.size(); ++j) {
+      probe.AddSelection(projections[j].instance, projections[j].column,
+                         rout.column(static_cast<ColumnId>(j)).at(0));
+    }
+    auto cursor = QueryCursor::Create(db, probe).ValueOrDie();
+    std::vector<ValueId> vals(projections.size());
+    for (RowId r = 0; r < rout.num_rows(); ++r) {
+      for (size_t j = 0; j < vals.size(); ++j) {
+        vals[j] = rout.column(static_cast<ColumnId>(j)).at(r);
       }
-      auto cursor = QueryCursor::Create(db, probe).ValueOrDie();
-      std::vector<ValueId> vals(projections.size());
-      for (RowId r = 0; r < rout.num_rows(); ++r) {
-        for (size_t j = 0; j < vals.size(); ++j) {
-          vals[j] = rout.column(static_cast<ColumnId>(j)).at(r);
-        }
-        cursor->Rebind(vals.data(), vals.size());
-        benchmark::DoNotOptimize(cursor->Next(&row));
-        ++probes;
-      }
-    } else {
-      ExecPolicy scalar;
-      scalar.batch_probes = false;
-      PJQuery probe = q;
-      for (RowId r = 0; r < rout.num_rows(); ++r) {
-        probe.ClearSelections();
-        for (size_t j = 0; j < projections.size(); ++j) {
-          probe.AddSelection(projections[j].instance, projections[j].column,
-                             rout.column(static_cast<ColumnId>(j)).at(r));
-        }
-        auto cursor = QueryCursor::Create(db, probe, {}, {}, scalar).ValueOrDie();
-        benchmark::DoNotOptimize(cursor->Next(&row));
-        ++probes;
-      }
+      cursor->Rebind(vals.data(), vals.size());
+      benchmark::DoNotOptimize(cursor->Next(&row));
+      ++probes;
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(probes));
 }
-BENCHMARK(BM_MorselFullCheck)->Arg(0)->Arg(1);
+BENCHMARK(BM_MorselFullCheck);
 
 void BM_JoinExecution(benchmark::State& state) {
   Database db = BuildTpch({.scale_factor = 0.005, .seed = 1}).ValueOrDie();

@@ -29,7 +29,7 @@ constexpr uint64_t kChargeQuantumBytes = 64 * 1024;
 // is also identical whether a prefix was recomputed or served from cache.
 constexpr size_t kMaxIntermediateRows = 20'000'000;
 
-// Rows the batched kernel expands per LookupBatch call before filtering and
+// Rows the probe kernel expands per LookupBatch call before filtering and
 // appending: bounds the reusable match scratch even for keys with huge
 // posting lists.
 constexpr size_t kBatchExpandRowCap = 64 * 1024;
@@ -673,13 +673,6 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
               .data();
     }
 
-    // Composite-key SIP for the scalar kernel (the batched kernel amortizes
-    // misses inside LookupBatch, and with memoization on these steps are
-    // usually cache hits anyway). Output-neutral: only empty probes skip.
-    const CompositeKeyFilter* key_filter =
-        policy.use_sip && !policy.batch_probes && kw >= 2
-            ? &db.GetOrBuildKeyFilter(query.instance_table(inst), key_cols[p])
-            : nullptr;
     const std::vector<RowId>& drv = *rows;
     const size_t w = width;
     const size_t count = drv.size() / w;
@@ -720,99 +713,57 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
         pending = 0;
         return true;
       };
-      auto append_match = [&](size_t di, RowId match) {
-        const RowId* binding = drv.data() + di * w;
-        out.insert(out.end(), binding, binding + w);
-        out.push_back(match);
-        pending += (w + 1) * sizeof(RowId);
-      };
 
-      if (policy.batch_probes) {
-        // Batched kernel: gather the morsel's keys columnarly, probe them
-        // through one LookupBatch, then filter each key's match extent with
-        // raw-pointer column compares. Visit order (driving row, then index
-        // row order) is exactly the scalar kernel's.
-        std::vector<ValueId> keys((hi - lo) * kw);
-        for (size_t k = 0; k < kw; ++k) {
-          const ValueId* col = src_data[k];
-          const int sp = src_pos[k];
-          if (sp < 0) {
-            for (size_t i = lo; i < hi; ++i) {
-              keys[(i - lo) * kw + k] = src_const[k];
-            }
-            continue;
-          }
+      // Gather the morsel's keys columnarly, probe them through one
+      // LookupBatch, then filter each key's match extent with raw-pointer
+      // column compares, visiting driving rows in order and each key's
+      // matches in index row order.
+      std::vector<ValueId> keys((hi - lo) * kw);
+      for (size_t k = 0; k < kw; ++k) {
+        const ValueId* col = src_data[k];
+        const int sp = src_pos[k];
+        if (sp < 0) {
           for (size_t i = lo; i < hi; ++i) {
-            keys[(i - lo) * kw + k] = col[drv[i * w + sp]];
+            keys[(i - lo) * kw + k] = src_const[k];
           }
+          continue;
         }
-        BatchMatches matches;
-        size_t done = 0;
-        const size_t nk = hi - lo;
-        while (done < nk) {
-          const size_t consumed = index.LookupBatch(
-              keys.data() + done * kw, nk - done, &matches, kBatchExpandRowCap);
-          const size_t before =
-              produced.fetch_add(matches.rows.size(),
-                                 std::memory_order_relaxed);
-          if (before + matches.rows.size() > kMaxIntermediateRows) {
-            raise_stop(kStopCap);
-            return;
-          }
-          for (size_t i = 0; i < consumed; ++i) {
-            const size_t di = lo + done + i;
-            const RowId* mb = matches.begin_of(i);
-            const RowId* me = matches.end_of(i);
-            for (const RowId* r = mb; r < me; ++r) {
-              if (!filters.Passes(*r)) continue;
-              if (!sip.Passes(*r)) {
-                ++skips;
-                continue;
-              }
-              append_match(di, *r);
-            }
-            if (pending >= kChargeQuantumBytes && !flush()) {
-              raise_stop(kStopMemory);
-              return;
-            }
-          }
-          done += consumed;
+        for (size_t i = lo; i < hi; ++i) {
+          keys[(i - lo) * kw + k] = col[drv[i * w + sp]];
         }
-      } else {
-        // Scalar kernel: the legacy tuple-at-a-time probe loop (ablation
-        // baseline), restricted to this morsel's driving slice.
-        std::vector<ValueId> key(kw);
-        for (size_t di = lo; di < hi; ++di) {
-          for (size_t k = 0; k < kw; ++k) {
-            key[k] = src_pos[k] < 0 ? src_const[k]
-                                    : src_data[k][drv[di * w + src_pos[k]]];
-          }
-          if (key_filter != nullptr &&
-              !key_filter->MayContain(key.data(), kw)) {
-            ++skips;
-            continue;
-          }
-          const std::vector<RowId>& match_rows =
-              kw == 1 ? index.Lookup1(key[0]) : index.Lookup(key);
-          const size_t before =
-              produced.fetch_add(match_rows.size(), std::memory_order_relaxed);
-          if (before + match_rows.size() > kMaxIntermediateRows) {
-            raise_stop(kStopCap);
-            return;
-          }
-          for (RowId match : match_rows) {
-            if (!filters.Passes(match)) continue;
-            if (!sip.Passes(match)) {
+      }
+      BatchMatches matches;
+      size_t done = 0;
+      const size_t nk = hi - lo;
+      while (done < nk) {
+        const size_t consumed = index.LookupBatch(
+            keys.data() + done * kw, nk - done, &matches, kBatchExpandRowCap);
+        const size_t before =
+            produced.fetch_add(matches.rows.size(), std::memory_order_relaxed);
+        if (before + matches.rows.size() > kMaxIntermediateRows) {
+          raise_stop(kStopCap);
+          return;
+        }
+        for (size_t i = 0; i < consumed; ++i) {
+          const RowId* binding = drv.data() + (lo + done + i) * w;
+          const RowId* mb = matches.begin_of(i);
+          const RowId* me = matches.end_of(i);
+          for (const RowId* r = mb; r < me; ++r) {
+            if (!filters.Passes(*r)) continue;
+            if (!sip.Passes(*r)) {
               ++skips;
               continue;
             }
-            append_match(di, match);
+            out.insert(out.end(), binding, binding + w);
+            out.push_back(*r);
+            pending += (w + 1) * sizeof(RowId);
           }
           if (pending >= kChargeQuantumBytes && !flush()) {
             raise_stop(kStopMemory);
             return;
           }
         }
+        done += consumed;
       }
       if (skips > 0) sip_skipped.fetch_add(skips, std::memory_order_relaxed);
       if (!flush()) raise_stop(kStopMemory);
@@ -824,9 +775,9 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
       return stop_status();
     }
 
-    // Merge in morsel-index order: the concatenation equals the scalar
-    // serial traversal order, so the step output is byte-identical at any
-    // thread count.
+    // Merge in morsel-index order: the concatenation equals the serial
+    // traversal order, so the step output is byte-identical at any thread
+    // count.
     size_t total = 0;
     for (const auto& buf : morsel_out) total += buf.size();
     if (total / (w + 1) > kMaxIntermediateRows) {

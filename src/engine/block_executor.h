@@ -68,9 +68,9 @@ struct BlockRunStats {
 /// `interrupt` (may be empty) is polled once per morsel of work — including
 /// inside hash-index builds this call triggers — and when it fires the
 /// evaluation stops with ResourceExhausted within one morsel.
-/// `policy` picks the probe kernels (scalar vs batched), the morsel dispatch
-/// (serial vs pool workers), SIP filtering, and subplan memoization; the
-/// returned table is byte-identical under every combination.
+/// `policy` picks the morsel dispatch (serial vs pool workers), SIP
+/// filtering, and subplan memoization; the returned table is byte-identical
+/// under every combination.
 /// `run_stats` (may be null) receives per-run counters.
 Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
                            const std::string& name,

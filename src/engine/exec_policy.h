@@ -1,12 +1,12 @@
-// Execution policy for one candidate: vectorized (batched) probe kernels
-// and morsel-driven intra-candidate parallelism (DESIGN.md §12).
+// Execution policy for one candidate: morsel-driven intra-candidate
+// parallelism, sideways information passing and subplan memoization
+// (DESIGN.md §12-13).
 //
 // The policy travels from QreOptions through the validator into the block
 // executor and the pipelined cursor. Every combination of its knobs yields
-// byte-identical results — morsels are merged in morsel-index order and the
-// batched kernels preserve the scalar kernels' row visit order — so the
-// policy only ever changes how fast a candidate executes, never what the
-// search answers.
+// byte-identical results — morsels are merged in morsel-index order and
+// filters only drop rows that cannot join — so the policy only ever changes
+// how fast a candidate executes, never what the search answers.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +25,10 @@ inline constexpr size_t kDefaultMorselSize = 2048;
 
 /// \brief How a candidate's joins execute.
 struct ExecPolicy {
-  /// Vectorized column probes: HashIndex::LookupBatch over dense key
-  /// vectors, columnar candidate prefilters, and rebind-amortized point
-  /// probes. Off = the legacy tuple-at-a-time kernels (ablation axis, E14).
+  /// Retired: nothing in the engine reads it, and every probe runs the
+  /// batched kernel. It stays only because the repo benchmark
+  /// (perfbench/replay.cc) still assigns it; delete it together with that
+  /// assignment.
   bool batch_probes = true;
 
   /// Total workers (including the calling thread) executing one candidate's

@@ -290,36 +290,22 @@ void QueryCursor::InitCandidates(size_t pos) {
         steps_[d.from_pos].table->column(d.from_col).at(bound_[d.from_pos]);
     auto it = d.map->find(u);
     if (it == d.map->end()) return;  // nothing reachable: empty candidates
-    if (policy_.batch_probes) {
-      // Batched build: the cached reach list is a dense sorted ValueId span,
-      // probed one morsel at a time through LookupBatch — the vectorized
-      // containment filter of DESIGN.md §12. Append order (value order, then
-      // index row order per value) matches the scalar loop exactly.
-      const std::vector<ValueId>& vals = it->second;
-      const size_t chunk = policy_.MorselSize();
-      for (size_t lo = 0; lo < vals.size(); lo += chunk) {
-        const size_t len = std::min(chunk, vals.size() - lo);
-        rows_examined_ += len;
-        if (interrupt_ && interrupt_()) {
-          interrupted_ = true;
-          return;
-        }
-        (void)step.reach_index->LookupBatch(vals.data() + lo, len,
-                                            &batch_buf_);
-        owned.insert(owned.end(), batch_buf_.rows.begin(),
-                     batch_buf_.rows.end());
-      }
-      return;
-    }
-    for (ValueId v : it->second) {
-      ++rows_examined_;
-      if ((rows_examined_ & kInterruptPollMask) == 0 && interrupt_ &&
-          interrupt_()) {
+    // The cached reach list is a dense sorted ValueId span, probed one
+    // morsel at a time through LookupBatch — the vectorized containment
+    // filter of DESIGN.md §12. Candidates append in value order, then index
+    // row order per value.
+    const std::vector<ValueId>& vals = it->second;
+    const size_t chunk = policy_.MorselSize();
+    for (size_t lo = 0; lo < vals.size(); lo += chunk) {
+      const size_t len = std::min(chunk, vals.size() - lo);
+      rows_examined_ += len;
+      if (interrupt_ && interrupt_()) {
         interrupted_ = true;
         return;
       }
-      const std::vector<RowId>& rows = step.reach_index->Lookup1(v);
-      owned.insert(owned.end(), rows.begin(), rows.end());
+      (void)step.reach_index->LookupBatch(vals.data() + lo, len, &batch_buf_);
+      owned.insert(owned.end(), batch_buf_.rows.begin(),
+                   batch_buf_.rows.end());
     }
     return;
   }

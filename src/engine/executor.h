@@ -83,10 +83,8 @@ class QueryCursor {
   /// whose later-planned endpoint has no physical index key drives that
   /// step's candidate rows from the cached endpoint set (one index probe
   /// per reachable value); otherwise it is applied as a row filter.
-  /// `policy` selects the probe kernels: with batch_probes on, reach-driven
-  /// candidate lists are built with one HashIndex::LookupBatch over the
-  /// cached value span instead of per-value probes. Result streams are
-  /// byte-identical either way.
+  /// Reach-driven candidate lists are built with HashIndex::LookupBatch over
+  /// the cached value span, one `policy` morsel at a time.
   static Result<std::unique_ptr<QueryCursor>> Create(
       const Database& db, const PJQuery& query,
       std::function<bool()> interrupt = {},

@@ -358,6 +358,11 @@ Result<std::vector<QreAnswer>> FastQre::ReverseAll(
         "R_out has no rows; any query with an empty result would generate it");
   }
   if (limit < 1) return Status::InvalidArgument("limit must be >= 1");
+  if (!options_.use_batched_probes) {
+    return Status::InvalidArgument(
+        "use_batched_probes = false is no longer supported: the scalar probe "
+        "kernels were removed");
+  }
   if (!fault_spec_error_.ok()) return fault_spec_error_;
 
   QreStats stats;
@@ -377,9 +382,8 @@ Result<std::vector<QreAnswer>> FastQre::ReverseAll(
 
   // Intra-candidate execution policy (DESIGN.md §12), shared by every
   // validator this call constructs. Verdicts and answers are identical for
-  // every setting; only the kernels and the morsel dispatch differ.
+  // every setting; only the morsel dispatch and filtering differ.
   ExecPolicy exec_policy;
-  exec_policy.batch_probes = options_.use_batched_probes;
   exec_policy.intra_threads = std::max(1, options_.intra_candidate_threads);
   exec_policy.morsel_size =
       static_cast<size_t>(std::max(1, options_.morsel_size));

@@ -97,11 +97,10 @@ struct QreOptions {
   /// pool; below it morsels stay on the validating thread.
   int intra_row_threshold = 4096;
 
-  /// Vectorized (batched) column probes: HashIndex::LookupBatch over dense
-  /// key vectors, columnar span filters in the block executor, and
-  /// rebind-amortized point probes in the validator. Off = the legacy
-  /// tuple-at-a-time kernels (ablation axis, experiment E14). Results are
-  /// byte-identical either way.
+  /// Retired: every probe runs the batched kernel (DESIGN.md §12), and
+  /// ReverseAll() rejects `false` with InvalidArgument. The member stays
+  /// only because the repo benchmark (perfbench/replay.cc) still reads it;
+  /// delete it together with that read.
   bool use_batched_probes = true;
 
   /// Number of R_out tuples bound by probing queries per candidate

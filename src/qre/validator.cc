@@ -261,9 +261,8 @@ bool Validator::WalkCoherent(int walk_id) {
   bool coherent = true;
   size_t probed = 0;
   // One cursor serves every probe: created on the first tuple, rebound for
-  // the rest (with batch_probes off, the legacy per-tuple replanning is
-  // kept as the ablation baseline). The accumulated rows_examined() is
-  // folded into the stats exactly once, on every exit path.
+  // the rest. The accumulated rows_examined() is folded into the stats
+  // exactly once, on every exit path.
   std::unique_ptr<QueryCursor> shared_cursor;
   uint64_t counted_rows = 0;
   uint64_t counted_sips = 0;
@@ -279,7 +278,7 @@ bool Validator::WalkCoherent(int walk_id) {
   // same verdict for every visiting order.
   for (const auto& tuple : needed) {
     QueryCursor* cursor = nullptr;
-    if (policy_.batch_probes && shared_cursor != nullptr) {
+    if (shared_cursor != nullptr) {
       shared_cursor->Rebind(tuple.data(), tuple.size());
       cursor = shared_cursor.get();
     } else {
@@ -329,31 +328,6 @@ CandidateOutcome Validator::AllTupleProbe(const Execution& exec) {
   if (rows == 0) return CandidateOutcome::kGenerating;
   PJQuery probe = exec.query;
   const auto projections = probe.projections();
-
-  if (!policy_.batch_probes) {
-    // Legacy scalar pass (ablation baseline): replan one cursor per tuple.
-    for (RowId r = 0; r < rows; ++r) {
-      probe.ClearSelections();
-      for (size_t j = 0; j < projections.size(); ++j) {
-        probe.AddSelection(projections[j].instance, projections[j].column,
-                           rout_->column(static_cast<ColumnId>(j)).at(r));
-      }
-      auto cursor =
-          QueryCursor::Create(*db_, probe, budget_exceeded_, exec.vjoins);
-      if (!cursor.ok()) return CandidateOutcome::kError;
-      std::vector<ValueId> out_row;
-      bool hit = (*cursor)->Next(&out_row);
-      stats_->validation_rows += (*cursor)->rows_examined();
-      stats_->alltuple_rows += (*cursor)->rows_examined();
-      stats_->sip_rows_skipped += (*cursor)->sip_rows_skipped();
-      if ((*cursor)->interrupted()) return CandidateOutcome::kBudgetExhausted;
-      if (!hit) return CandidateOutcome::kMissingTuples;
-      if ((r & kInterruptPollMask) == 0 && BudgetExceeded()) {
-        return CandidateOutcome::kBudgetExhausted;
-      }
-    }
-    return CandidateOutcome::kGenerating;  // R_out ⊆ Q(D) established
-  }
 
   // Batched pass (DESIGN.md §12): R_out is partitioned into morsels; each
   // morsel worker plans one cursor and rebinds it per tuple, so the

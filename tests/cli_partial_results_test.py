@@ -15,7 +15,9 @@ Drives the real binary end to end:
   5. reverse with no arguments: usage error, exit 2,
   6. malformed numeric flags (`--threads four`, `--memory-budget-mb 1g`,
      `--scale tiny`): usage error naming the flag, exit 2 — never a silent
-     fallback to the default.
+     fallback to the default,
+  7. unknown flags (the retired `--no-batch`, the misspelt `--thread 4`):
+     usage error naming the flag, exit 2 — never silently ignored.
 """
 
 import argparse
@@ -145,6 +147,20 @@ def main():
                   % (flag, proc.stderr))
             check("SELECT" not in proc.stdout,
                   "bad --%s: must not run: %s" % (flag, proc.stdout))
+
+        # --- Unknown flags: exit 2, flag named on stderr. -----------------
+        for extra, flag in ((["--no-batch"], "no-batch"),
+                            (["--thread", "4"], "thread")):
+            proc = run(opts.binary,
+                       ["reverse", "--db", db, "--rout", rout] + extra)
+            check(proc.returncode == 2,
+                  "unknown --%s: want exit 2, got %d"
+                  % (flag, proc.returncode))
+            check("error: unknown flag --%s\n" % flag in proc.stderr,
+                  "unknown --%s: missing error message, stderr: %s"
+                  % (flag, proc.stderr))
+            check("SELECT" not in proc.stdout,
+                  "unknown --%s: must not run: %s" % (flag, proc.stdout))
 
     if FAILURES:
         print("%d check(s) failed" % len(FAILURES))

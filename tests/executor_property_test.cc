@@ -4,6 +4,9 @@
 // filters, selections).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.h"
 #include "datagen/randomdb.h"
 #include "datagen/workload.h"
@@ -155,11 +158,14 @@ TEST_P(ExecutorDifferential, SameInstanceFilterAgrees) {
 
 TEST_P(ExecutorDifferential, SipAndSubplanCacheAreSemanticsPreserving) {
   // DESIGN.md §13: SIP filters and subplan memoization may only skip work,
-  // never change results. Every {use_sip} × {subplan cache} × {kernel}
-  // configuration must emit a byte-identical relation (CSV compare: row
-  // order included) and match the brute-force reference. The cache is
-  // shared across all trials of a seed, so later trials really consume
-  // prefixes stored by earlier ones (admission 0 stores on first offer).
+  // never change results. Every {use_sip} × {subplan cache} configuration
+  // must emit a byte-identical relation (CSV compare: row order included)
+  // and match the brute-force reference. The cache is shared across all
+  // trials of a seed, so later trials really consume prefixes stored by
+  // earlier ones (admission 0 stores on first offer). Each configuration
+  // also runs the exact extras check (a `subset_guard`): guarded by the
+  // true result it is not violated and returns the same table; guarded by
+  // that result minus one tuple it is violated.
   const uint64_t seed = GetParam();
   RandomDbOptions db_opts;
   db_opts.seed = seed;
@@ -189,22 +195,39 @@ TEST_P(ExecutorDifferential, SipAndSubplanCacheAreSemanticsPreserving) {
               expected)
         << "seed " << seed << " trial " << trial << "\n"
         << wq->query.ToSql(db);
+    // The guard that is violated: the true result minus its smallest tuple.
+    TupleSet short_guard = expected;
+    if (!expected.empty()) {
+      short_guard.erase(*std::min_element(expected.begin(), expected.end()));
+    }
     for (bool sip : {false, true}) {
       for (SubplanCache* memo : {static_cast<SubplanCache*>(nullptr), &cache,
                                  &tiny_cache}) {
-        for (bool batch : {false, true}) {
-          ExecPolicy p;
-          p.use_sip = sip;
-          p.subplan_cache = memo;
-          p.batch_probes = batch;
-          auto got = ExecuteBlock(db, wq->query, "block", {}, p);
-          ASSERT_TRUE(got.ok()) << "seed " << seed << " trial " << trial;
-          EXPECT_EQ(TableToCsv(*got), baseline)
-              << "seed " << seed << " trial " << trial << " sip=" << sip
-              << " memo=" << (memo == &cache ? "64M" : memo ? "512B" : "off")
-              << " batch=" << batch << "\n"
-              << wq->query.ToSql(db);
-        }
+        ExecPolicy p;
+        p.use_sip = sip;
+        p.subplan_cache = memo;
+        const std::string cell =
+            "seed " + std::to_string(seed) + " trial " +
+            std::to_string(trial) + " sip=" + std::to_string(sip) + " memo=" +
+            (memo == &cache ? "64M" : memo ? "512B" : "off") + "\n" +
+            wq->query.ToSql(db);
+        auto got = ExecuteBlock(db, wq->query, "block", {}, p);
+        ASSERT_TRUE(got.ok()) << cell;
+        EXPECT_EQ(TableToCsv(*got), baseline) << cell;
+
+        bool violated = true;
+        auto guarded =
+            ExecuteBlock(db, wq->query, "block", {}, p, &expected, &violated);
+        ASSERT_TRUE(guarded.ok()) << cell;
+        EXPECT_FALSE(violated) << cell;
+        EXPECT_EQ(TableToCsv(*guarded), baseline) << cell;
+
+        if (expected.empty()) continue;
+        violated = false;
+        auto short_run = ExecuteBlock(db, wq->query, "block", {}, p,
+                                      &short_guard, &violated);
+        ASSERT_TRUE(short_run.ok()) << cell;
+        EXPECT_TRUE(violated) << cell;
       }
     }
     // The pipelined cursor honours the same policy bit: SIP on and off must

@@ -1,13 +1,15 @@
 // Differential harness for morsel-driven intra-candidate execution
 // (DESIGN.md §12): over every random-db scenario of the executor property
-// test, the block executor and the pipelined cursor must produce
-// byte-identical results across {scalar, batched} probe kernels × {1, 8}
-// intra-candidate threads × morsel sizes {1, 7, 2048}, with every governor
-// charge released; Reverse() must return byte-identical ranked SQL across
-// the same matrix; and an interrupt must land within one morsel of work.
+// test, the block executor must produce byte-identical results across
+// {1, 8} intra-candidate threads × morsel sizes {1, 7, 2048}, with every
+// governor charge released; the pipelined cursor's reach-driven step over a
+// materialized walk must stream identical rows at every morsel size;
+// Reverse() must return byte-identical ranked SQL across intra-thread
+// counts; and an interrupt must land within one morsel of work.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "engine/compare.h"
 #include "engine/executor.h"
 #include "qre/fastqre.h"
+#include "qre/walk_cache.h"
 #include "storage/csv.h"
 
 namespace fastqre {
@@ -31,25 +34,21 @@ namespace {
 // parallel merge path is really exercised on small test databases.
 std::vector<ExecPolicy> PolicyMatrix(ThreadPool* pool) {
   std::vector<ExecPolicy> out;
-  for (bool batch : {false, true}) {
-    for (int threads : {1, 8}) {
-      for (size_t morsel : {size_t{1}, size_t{7}, size_t{2048}}) {
-        ExecPolicy p;
-        p.batch_probes = batch;
-        p.intra_threads = threads;
-        p.morsel_size = morsel;
-        p.intra_threshold = 1;
-        p.pool = threads > 1 ? pool : nullptr;
-        out.push_back(p);
-      }
+  for (int threads : {1, 8}) {
+    for (size_t morsel : {size_t{1}, size_t{7}, size_t{2048}}) {
+      ExecPolicy p;
+      p.intra_threads = threads;
+      p.morsel_size = morsel;
+      p.intra_threshold = 1;
+      p.pool = threads > 1 ? pool : nullptr;
+      out.push_back(p);
     }
   }
   return out;
 }
 
 std::string PolicyName(const ExecPolicy& p) {
-  return std::string(p.batch_probes ? "batched" : "scalar") + "/t" +
-         std::to_string(p.intra_threads) + "/m" +
+  return "t" + std::to_string(p.intra_threads) + "/m" +
          std::to_string(p.morsel_size);
 }
 
@@ -65,7 +64,7 @@ Database SeededRandomDb(uint64_t seed) {
 
 class MorselDifferential : public ::testing::TestWithParam<uint64_t> {};
 
-// Block executor: every (kernel, threads, morsel-size) configuration must
+// Block executor: every (threads, morsel-size) configuration must
 // emit the same relation byte-for-byte (row order included — the morsel
 // merge is in morsel-index order, so the stream is config-independent).
 TEST_P(MorselDifferential, BlockExecutorMatrixIsByteIdentical) {
@@ -93,30 +92,97 @@ TEST_P(MorselDifferential, BlockExecutorMatrixIsByteIdentical) {
   }
 }
 
-// Pipelined cursor: the batched reach/probe kernels must yield the same
-// *ordered* row stream as the scalar ones (stronger than set equality).
+// Pipelined cursor, reach-driven step: a three-instance chain A-B-C whose
+// middle hop is materialized with BuildWalkRelation and substituted as a
+// VirtualJoin between A and C. The later-planned endpoint then has no
+// physical index key, so its candidate rows come from the reach driver
+// (HashIndex::LookupBatch over the cached value span, one morsel at a
+// time). Every morsel size must stream
+// the same ordered rows, and their set must equal the brute-force
+// projection of the physical chain A.x = B.y, B.z = C.w.
 TEST_P(MorselDifferential, CursorStreamsAgreeAcrossKernels) {
   const uint64_t seed = GetParam();
   Database db = SeededRandomDb(seed);
   Rng rng(seed + 77);
-  RandomQueryOptions q_opts;
-  q_opts.num_instances = 2;
-  q_opts.min_rout_rows = 0;
-  for (int trial = 0; trial < 5; ++trial) {
-    auto wq = RandomCpjQuery(db, &rng, q_opts);
-    if (!wq.ok()) continue;
-    std::vector<std::vector<ValueId>> streams[2];
-    for (int batch = 0; batch < 2; ++batch) {
-      ExecPolicy p;
-      p.batch_probes = (batch == 1);
-      auto cursor = QueryCursor::Create(db, wq->query, {}, {}, p).ValueOrDie();
-      std::vector<ValueId> row;
-      while (cursor->Next(&row)) streams[batch].push_back(row);
+  const auto& edges = db.schema_graph().edges();
+  int chains = 0;
+  for (const SchemaEdge& e1 : edges) {
+    for (const SchemaEdge& e2 : edges) {
+      if (e1.id == e2.id || e1.IsSelfLoop() || e2.IsSelfLoop()) continue;
+      // The middle table B is the one e1 and e2 share.
+      for (int s1 = 0; s1 < 2; ++s1) {
+        for (int s2 = 0; s2 < 2; ++s2) {
+          if (e1.table[s1] != e2.table[s2]) continue;
+          const TableId ta = e1.table[1 - s1];
+          const ColumnId xa = e1.column[1 - s1];
+          const TableId tb = e1.table[s1];
+          const ColumnId yb = e1.column[s1];
+          const ColumnId zb = e2.column[s2];
+          const TableId tc = e2.table[1 - s2];
+          const ColumnId wc = e2.column[1 - s2];
+          const Table& a_tab = db.table(ta);
+          const Table& b_tab = db.table(tb);
+          const Table& c_tab = db.table(tc);
+          const ColumnId pa =
+              static_cast<ColumnId>(rng.Uniform(a_tab.num_columns()));
+          const ColumnId pc =
+              static_cast<ColumnId>(rng.Uniform(c_tab.num_columns()));
+          ++chains;
+
+          std::unique_ptr<WalkRelation> rel =
+              BuildWalkRelation(db, {WalkHop{tb, yb, zb}}, {});
+          ASSERT_NE(rel, nullptr);
+          PJQuery q;
+          const InstanceId a = q.AddInstance(ta);
+          const InstanceId c = q.AddInstance(tc);
+          q.AddProjection(a, pa);
+          q.AddProjection(c, pc);
+          VirtualJoin vj{a, xa, c, wc, &rel->forward, &rel->reverse};
+          vj.a_domain = &rel->forward_domain;
+          vj.b_domain = &rel->reverse_domain;
+
+          std::set<std::vector<ValueId>> expected;
+          for (RowId ra = 0; ra < a_tab.num_rows(); ++ra) {
+            for (RowId rb = 0; rb < b_tab.num_rows(); ++rb) {
+              if (a_tab.column(xa).at(ra) != b_tab.column(yb).at(rb)) continue;
+              for (RowId rc = 0; rc < c_tab.num_rows(); ++rc) {
+                if (b_tab.column(zb).at(rb) != c_tab.column(wc).at(rc)) {
+                  continue;
+                }
+                expected.insert(
+                    {a_tab.column(pa).at(ra), c_tab.column(pc).at(rc)});
+              }
+            }
+          }
+
+          std::vector<std::vector<ValueId>> baseline;
+          for (size_t morsel : {size_t{1}, size_t{7}, size_t{2048}}) {
+            ExecPolicy p;
+            p.morsel_size = morsel;
+            auto cursor =
+                QueryCursor::Create(db, q, {}, {vj}, p).ValueOrDie();
+            std::vector<std::vector<ValueId>> stream;
+            std::vector<ValueId> row;
+            while (cursor->Next(&row)) stream.push_back(row);
+            const std::string where =
+                "seed " + std::to_string(seed) + " chain t" +
+                std::to_string(ta) + "-t" + std::to_string(tb) + "-t" +
+                std::to_string(tc) + " morsel " + std::to_string(morsel);
+            if (morsel == 1) {
+              baseline = stream;
+              EXPECT_EQ(std::set<std::vector<ValueId>>(stream.begin(),
+                                                       stream.end()),
+                        expected)
+                  << where;
+            } else {
+              EXPECT_EQ(stream, baseline) << where;
+            }
+          }
+        }
+      }
     }
-    EXPECT_EQ(streams[0], streams[1])
-        << "seed " << seed << " trial " << trial << "\n"
-        << wq->query.ToSql(db);
   }
+  EXPECT_GT(chains, 0) << "seed " << seed;
 }
 
 // Rebind on a planned cursor must be indistinguishable from a fresh
@@ -192,7 +258,7 @@ TEST(MorselExecutor, GovernorBalancedAcrossMatrix) {
 }
 
 // End-to-end determinism: Reverse() must return byte-identical SQL across
-// kernels, intra-thread counts and morsel sizes (the §12 contract).
+// intra-thread counts with a small morsel size (the §12 contract).
 TEST(MorselExecutor, RankedSqlIdenticalAcrossPolicies) {
   TpchOptions tpch;
   tpch.scale_factor = 0.001;
@@ -203,24 +269,19 @@ TEST(MorselExecutor, RankedSqlIdenticalAcrossPolicies) {
     const auto& wq = workload[wi];
     std::string baseline_sql;
     bool first = true;
-    for (bool batch : {true, false}) {
-      for (int intra : {1, 8}) {
-        QreOptions opts;
-        opts.use_batched_probes = batch;
-        opts.intra_candidate_threads = intra;
-        opts.morsel_size = 64;
-        opts.intra_row_threshold = 1;
-        FastQre engine(&db, opts);
-        auto answer = engine.Reverse(wq.rout).ValueOrDie();
-        ASSERT_TRUE(answer.found)
-            << wq.name << " batch=" << batch << " intra=" << intra;
-        if (first) {
-          baseline_sql = answer.sql;
-          first = false;
-        } else {
-          EXPECT_EQ(answer.sql, baseline_sql)
-              << wq.name << " batch=" << batch << " intra=" << intra;
-        }
+    for (int intra : {1, 8}) {
+      QreOptions opts;
+      opts.intra_candidate_threads = intra;
+      opts.morsel_size = 64;
+      opts.intra_row_threshold = 1;
+      FastQre engine(&db, opts);
+      auto answer = engine.Reverse(wq.rout).ValueOrDie();
+      ASSERT_TRUE(answer.found) << wq.name << " intra=" << intra;
+      if (first) {
+        baseline_sql = answer.sql;
+        first = false;
+      } else {
+        EXPECT_EQ(answer.sql, baseline_sql) << wq.name << " intra=" << intra;
       }
     }
   }

@@ -141,5 +141,16 @@ TEST_F(OptionsTest, AlphaOutOfHabitualRangeStillWorks) {
   }
 }
 
+TEST_F(OptionsTest, ScalarProbeKernelsAreRejected) {
+  // The tuple-at-a-time probe kernels were removed; a caller still asking
+  // for them gets an error instead of silently running the batched kernel.
+  QreOptions opts;
+  opts.use_batched_probes = false;
+  FastQre engine(&db_, opts);
+  auto answers = engine.ReverseAll(workload_[0].rout, 1);
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace fastqre

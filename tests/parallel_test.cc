@@ -258,8 +258,8 @@ TEST_F(ParallelQreTest, SubplanCacheDeterminismMatrix) {
 
 TEST_F(ParallelQreTest, IntraCandidateDeterminismMatrix) {
   // DESIGN.md §12: morsel-driven intra-candidate execution must not change
-  // answers. Every (intra threads, validation threads, walk-cache budget,
-  // kernel) combination must reproduce the all-defaults serial answer
+  // answers. Every (intra threads, validation threads, walk-cache budget)
+  // combination must reproduce the all-defaults serial answer
   // byte-for-byte — a tiny morsel size and threshold force the morsel path
   // onto every candidate.
   for (int i : {8, 9}) {  // L09/L10: the walk-heavy cyclic ladder entries
@@ -270,26 +270,22 @@ TEST_F(ParallelQreTest, IntraCandidateDeterminismMatrix) {
     for (int intra : {1, 4}) {
       for (int threads : {1, 8}) {
         for (uint64_t budget : {uint64_t{4} << 10, uint64_t{64} << 20}) {
-          for (bool batch : {true, false}) {
-            QreOptions opts;
-            opts.intra_candidate_threads = intra;
-            opts.morsel_size = 7;
-            opts.intra_row_threshold = 1;
-            opts.use_batched_probes = batch;
-            opts.validation_threads = threads;
-            opts.walk_cache_budget_bytes = budget;
-            opts.walk_cache_admission = 0;
-            FastQre engine(&db_, opts);
-            QreAnswer got = engine.Reverse(workload_[i].rout).ValueOrDie();
-            SCOPED_TRACE(workload_[i].name + " intra=" + std::to_string(intra) +
-                         " threads=" + std::to_string(threads) + " budget=" +
-                         std::to_string(budget) + " batch=" +
-                         std::to_string(batch));
-            EXPECT_EQ(got.found, reference.found);
-            EXPECT_EQ(got.sql, reference.sql);
-            EXPECT_EQ(got.failure_reason, reference.failure_reason);
-            ExpectConsistentStats(got.stats, "intra matrix");
-          }
+          QreOptions opts;
+          opts.intra_candidate_threads = intra;
+          opts.morsel_size = 7;
+          opts.intra_row_threshold = 1;
+          opts.validation_threads = threads;
+          opts.walk_cache_budget_bytes = budget;
+          opts.walk_cache_admission = 0;
+          FastQre engine(&db_, opts);
+          QreAnswer got = engine.Reverse(workload_[i].rout).ValueOrDie();
+          SCOPED_TRACE(workload_[i].name + " intra=" + std::to_string(intra) +
+                       " threads=" + std::to_string(threads) + " budget=" +
+                       std::to_string(budget));
+          EXPECT_EQ(got.found, reference.found);
+          EXPECT_EQ(got.sql, reference.sql);
+          EXPECT_EQ(got.failure_reason, reference.failure_reason);
+          ExpectConsistentStats(got.stats, "intra matrix");
         }
       }
     }

@@ -8,7 +8,7 @@
 //       Materialize a ladder query's output as a CSV "report" to reverse.
 //   fastqre reverse --db DIR --rout FILE.csv [--superset] [--budget S]
 //                   [--alpha A] [--all K] [--threads N] [--intra-threads N]
-//                   [--morsel-size M] [--no-batch] [--no-sip]
+//                   [--morsel-size M] [--no-sip]
 //                   [--walk-cache-mb MB] [--subplan-cache-mb MB]
 //                   [--memory-budget-mb MB] [--cancel-after S]
 //                   [--stats] [--stats-json] [--verify] [--trace]
@@ -16,10 +16,9 @@
 //       validates candidates on N worker threads; the answer is identical
 //       to a single-threaded run (rank-deterministic), just faster.
 //       --intra-threads N additionally runs morsels *inside* one candidate's
-//       block evaluation and probe passes on N workers; --morsel-size sets
-//       the tuples-per-morsel granularity and --no-batch falls back to the
-//       scalar probe kernels (DESIGN.md §12) — all three leave the answer
-//       byte-identical.
+//       block evaluation and probe passes on N workers, and --morsel-size
+//       sets the tuples-per-morsel granularity (DESIGN.md §12) — both leave
+//       the answer byte-identical.
 //       --no-sip disables sideways-information-passing bitmap filters and
 //       --subplan-cache-mb sets the cross-candidate subplan memoization
 //       budget (0 disables; DESIGN.md §13) — the E15 ablation axes, again
@@ -34,6 +33,10 @@
 //       Execute a PJ query and print its (distinct) result rows.
 //   fastqre tune --db DIR
 //       Calibrate alpha on self-generated test queries (Section 4.4.2).
+//
+// Every command accepts only its own flags: any other --flag is a usage
+// error (exit 2), so a misspelt or retired flag is never silently ignored.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -69,11 +72,10 @@ int Usage() {
       "  fastqre demo-rout --db DIR --query L01..L10 --out FILE.csv\n"
       "  fastqre reverse --db DIR --rout FILE.csv [--superset] [--budget S]\n"
       "                  [--alpha A] [--all K] [--threads N]\n"
-      "                  [--intra-threads N] [--morsel-size M] [--no-batch]\n"
-      "                  [--no-sip] [--walk-cache-mb MB]\n"
-      "                  [--subplan-cache-mb MB] [--memory-budget-mb MB]\n"
-      "                  [--cancel-after S] [--stats] [--stats-json]\n"
-      "                  [--verify] [--trace]\n"
+      "                  [--intra-threads N] [--morsel-size M] [--no-sip]\n"
+      "                  [--walk-cache-mb MB] [--subplan-cache-mb MB]\n"
+      "                  [--memory-budget-mb MB] [--cancel-after S]\n"
+      "                  [--stats] [--stats-json] [--verify] [--trace]\n"
       "  fastqre run --db DIR --sql QUERY [--limit N]\n"
       "  fastqre tune --db DIR\n"
       "\n"
@@ -114,12 +116,19 @@ struct Flags {
   }
 };
 
-Flags ParseFlags(int argc, char** argv, int first) {
+// A flag outside the command's `known` set is a usage error, like a
+// malformed number: exit before the command starts.
+Flags ParseFlags(int argc, char** argv, int first,
+                 const std::vector<std::string>& known) {
   Flags flags;
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;
     std::string name = arg.substr(2);
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+      std::exit(2);
+    }
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       flags.values[name] = argv[++i];
     } else {
@@ -290,7 +299,6 @@ int CmdReverse(const Flags& flags) {
     std::fprintf(stderr, "error: --morsel-size must be >= 1\n");
     return 2;
   }
-  if (flags.Has("no-batch")) opts.use_batched_probes = false;
   if (flags.Has("no-sip")) opts.use_sip = false;
   long long cache_mb = flags.GetInt("walk-cache-mb", 64);
   if (cache_mb < 0) {
@@ -418,17 +426,33 @@ int CmdTune(const Flags& flags) {
   return 0;
 }
 
+// A subcommand and the only flags it accepts.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string cmd = argv[1];
-  Flags flags = ParseFlags(argc, argv, 2);
-  if (cmd == "gen-tpch") return CmdGenTpch(flags);
-  if (cmd == "info") return CmdInfo(flags);
-  if (cmd == "demo-rout") return CmdDemoRout(flags);
-  if (cmd == "reverse") return CmdReverse(flags);
-  if (cmd == "run") return CmdRun(flags);
-  if (cmd == "tune") return CmdTune(flags);
+  const Command commands[] = {
+      {"gen-tpch", CmdGenTpch, {"out", "scale", "seed"}},
+      {"info", CmdInfo, {"db"}},
+      {"demo-rout", CmdDemoRout, {"db", "query", "out"}},
+      {"reverse",
+       CmdReverse,
+       {"db", "rout", "superset", "budget", "alpha", "all", "threads",
+        "intra-threads", "morsel-size", "no-sip", "walk-cache-mb",
+        "subplan-cache-mb", "memory-budget-mb", "cancel-after", "stats",
+        "stats-json", "verify", "trace"}},
+      {"run", CmdRun, {"db", "sql", "limit"}},
+      {"tune", CmdTune, {"db"}},
+  };
+  const std::string cmd = argv[1];
+  for (const Command& c : commands) {
+    if (cmd == c.name) return c.run(ParseFlags(argc, argv, 2, c.flags));
+  }
   return Usage();
 }
