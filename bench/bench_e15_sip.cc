@@ -1,16 +1,15 @@
 // E15 — sideways information passing and cross-candidate subplan
 // memoization (DESIGN.md §13), measured on the streaming-bound validation
-// tail: the single-queue convoy with the walk cache off revalidates
-// concise-but-expensive candidates through the exact block-execution extras
-// check, so a run's wall clock is dominated by hash-join prefixes that
-// sibling candidates recompute from scratch — exactly the work SIP filters
-// shrink and the subplan cache shares.
+// tail: the single-queue convoy with the walk cache off revalidates many
+// concise-but-expensive candidates. The cache only memoizes the block
+// fallback of the exact extras check, which a candidate reaches when its
+// bounded stream ends undecided (E18), so the cache axis now moves far less
+// than the >= 3x E15 first recorded.
 //
 // Two sections share one table:
 //   * convoy rows (1q composer, walk cache off): the 2x2 ablation —
-//     {SIP off/on} x {subplan cache off/on}; both-on should cut wall clock
-//     >= 3x on the larger scale while every cell returns the identical
-//     answer SQL (asserted here, not just eyeballed).
+//     {SIP off/on} x {subplan cache off/on}; every cell must return the
+//     identical answer SQL (asserted here, not just eyeballed).
 //   * small rows (2q composer, walk cache on, smallest scale): the overhead
 //     guard — on inputs with little convoy work, SIP + cache must never be
 //     materially (>5%) slower than both-off.

@@ -130,11 +130,10 @@ struct QreOptions {
 
   /// Byte budget of the cross-candidate subplan memoization cache
   /// (SubplanCache): materialized block-execution join prefixes, keyed by
-  /// canonical prefix signature and shared across convoy candidates. Also
-  /// switches the exact extras check to the block path when nonzero. 0
-  /// disables memoization and keeps the legacy streaming extra-tuple hunt
-  /// (the --subplan-cache-mb 0 ablation cell of E15). Never changes
-  /// accepted answers (DESIGN.md §13).
+  /// canonical prefix signature and shared across convoy candidates. Only
+  /// the exact extras check's block fallback reads it. 0 disables
+  /// memoization and nothing else: the fallback then runs unmemoized. Never
+  /// changes accepted answers (DESIGN.md §13).
   uint64_t subplan_cache_budget_bytes = 64ull << 20;
 
   /// Admission threshold of the subplan cache: a join prefix is snapshotted

@@ -41,6 +41,9 @@ std::string QreStats::ToString() const {
                       static_cast<unsigned long long>(coherence_rows),
                       static_cast<unsigned long long>(alltuple_rows),
                       static_cast<unsigned long long>(fullscan_rows));
+  out += StringFormat(
+      "  extras fallbacks:    %llu (bounded stream -> block path)\n",
+      static_cast<unsigned long long>(extras_block_fallbacks));
   out += StringFormat("walk cache:            hits=%llu misses=%llu evictions=%llu bytes=%llu\n",
                       static_cast<unsigned long long>(walk_cache_hits),
                       static_cast<unsigned long long>(walk_cache_misses),
@@ -84,6 +87,7 @@ void QreStats::Accumulate(const QreStats& other) {
   coherence_rows += other.coherence_rows;
   alltuple_rows += other.alltuple_rows;
   fullscan_rows += other.fullscan_rows;
+  extras_block_fallbacks += other.extras_block_fallbacks;
   walk_cache_hits += other.walk_cache_hits;
   walk_cache_misses += other.walk_cache_misses;
   walk_cache_evictions += other.walk_cache_evictions;

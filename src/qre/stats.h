@@ -49,6 +49,9 @@ struct QreStats {
   RelaxedCounter coherence_rows = 0;   // walk-coherence streams
   RelaxedCounter alltuple_rows = 0;    // per-R_out-tuple membership probes
   RelaxedCounter fullscan_rows = 0;    // extra-tuple hunting streams
+  // Exact extras checks whose bounded stream ended undecided and fell back
+  // to the block path (DESIGN.md §13).
+  RelaxedCounter extras_block_fallbacks = 0;
 
   // Walk-materialization cache (DESIGN.md §9). hits/misses count Acquire()
   // calls that did / did not return a materialized relation; bytes is a

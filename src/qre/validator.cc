@@ -412,6 +412,63 @@ CandidateOutcome Validator::AllTupleProbe(const Execution& exec) {
   return CandidateOutcome::kGenerating;  // R_out ⊆ Q(D) established
 }
 
+CandidateOutcome Validator::ExtrasCheck(const CandidateQuery& candidate,
+                                        const Execution& exec) {
+  // 1. Progressive evaluation (Sections 4.1/4.5): stream Q(D) and stop at
+  // the first tuple outside R_out, for at most kExtrasStreamRowCap examined
+  // rows. The cursor's interrupt doubles as the cap (it is polled every
+  // kInterruptPollMask + 1 examined rows), so BudgetExceeded() is re-checked
+  // afterwards to tell a real stop from the cap. Substitution cannot change
+  // the emitted set: projections only touch endpoint instances, which the
+  // reduced query retains.
+  const QueryCursor* live = nullptr;
+  auto stop = [this, &live] {
+    return BudgetExceeded() ||
+           (live != nullptr && live->rows_examined() >= kExtrasStreamRowCap);
+  };
+  auto cursor =
+      QueryCursor::Create(*db_, exec.query, stop, exec.vjoins, policy_);
+  if (!cursor.ok()) return CandidateOutcome::kError;
+  live = cursor->get();
+  std::vector<ValueId> row;
+  bool extra = false;
+  while (!extra && (*cursor)->Next(&row)) extra = rout_set_->count(row) == 0;
+  stats_->validation_rows += (*cursor)->rows_examined();
+  stats_->fullscan_rows += (*cursor)->rows_examined();
+  stats_->sip_rows_skipped += (*cursor)->sip_rows_skipped();
+  if (extra) return CandidateOutcome::kExtraTuples;
+  if (!(*cursor)->interrupted()) return CandidateOutcome::kGenerating;
+  if (BudgetExceeded()) return CandidateOutcome::kBudgetExhausted;
+
+  // 2. The prefix ended undecided: a large bag of duplicates, typically.
+  // Fall back to the block path, whose interface dedup keeps each join
+  // level distinct. With a subplan cache (DESIGN.md §13) it also resumes
+  // from the deepest memoized join prefix. The subset guard (= R_out) stops
+  // the projection at the first distinct tuple outside R_out. The block
+  // executor knows nothing of virtual joins, so the unsubstituted query is
+  // used (prefix signatures then align across the convoy regardless of
+  // which walks were materialized).
+  ++stats_->extras_block_fallbacks;
+  bool violated = false;
+  BlockRunStats brs;
+  auto result = ExecuteBlock(*db_, candidate.query, "extras", budget_exceeded_,
+                             policy_, rout_set_, &violated, &brs);
+  stats_->validation_rows += brs.rows_enumerated;
+  stats_->fullscan_rows += brs.rows_enumerated;
+  stats_->sip_rows_skipped += brs.sip_rows_skipped;
+  if (!result.ok()) {
+    if (result.status().code() == StatusCode::kResourceExhausted) {
+      // Global stop vs candidate-local exhaustion, exactly as in FullCheck's
+      // non-progressive block path.
+      return BudgetExceeded() ? CandidateOutcome::kBudgetExhausted
+                              : CandidateOutcome::kError;
+    }
+    return CandidateOutcome::kError;
+  }
+  return violated ? CandidateOutcome::kExtraTuples
+                  : CandidateOutcome::kGenerating;
+}
+
 CandidateOutcome Validator::FullCheck(const CandidateQuery& candidate,
                                       const Execution& exec) {
   ++stats_->full_validations;
@@ -423,63 +480,7 @@ CandidateOutcome Validator::FullCheck(const CandidateQuery& candidate,
       return CandidateOutcome::kGenerating;  // superset needs nothing more
     }
     // Exact: R_out ⊆ Q(D) holds; it remains to rule out extra tuples.
-    if (policy_.subplan_cache != nullptr) {
-      // Block path with subplan memoization (DESIGN.md §13): convoy
-      // candidates share join prefixes, so the block executor resumes from
-      // the deepest cached intermediate instead of re-streaming the whole
-      // join per candidate — the cascade's dominant residual cost. The
-      // subset guard (= R_out) stops the projection at the first distinct
-      // tuple outside R_out, preserving the early-exit character of the
-      // streaming hunt. The block executor knows nothing of virtual joins,
-      // so the unsubstituted query is used (prefix signatures then align
-      // across the convoy regardless of which walks were materialized).
-      bool violated = false;
-      BlockRunStats brs;
-      auto result =
-          ExecuteBlock(*db_, candidate.query, "extras", budget_exceeded_,
-                       policy_, rout_set_, &violated, &brs);
-      stats_->validation_rows += brs.rows_enumerated;
-      stats_->fullscan_rows += brs.rows_enumerated;
-      stats_->sip_rows_skipped += brs.sip_rows_skipped;
-      if (!result.ok()) {
-        if (result.status().code() == StatusCode::kResourceExhausted) {
-          // Global stop vs candidate-local exhaustion, exactly as in the
-          // non-progressive block path below.
-          return BudgetExceeded() ? CandidateOutcome::kBudgetExhausted
-                                  : CandidateOutcome::kError;
-        }
-        return CandidateOutcome::kError;
-      }
-      return violated ? CandidateOutcome::kExtraTuples
-                      : CandidateOutcome::kGenerating;
-    }
-    // Legacy streaming hunt (the --subplan-cache-mb 0 ablation cell): early
-    // exit on the first violation. Substitution cannot change the emitted
-    // set: projections only touch endpoint instances, which the reduced
-    // query retains.
-    auto cursor = QueryCursor::Create(*db_, exec.query, budget_exceeded_,
-                                      exec.vjoins, policy_);
-    if (!cursor.ok()) return CandidateOutcome::kError;
-    std::vector<ValueId> row;
-    auto fold_sip = [&] {
-      stats_->sip_rows_skipped += (*cursor)->sip_rows_skipped();
-    };
-    while ((*cursor)->Next(&row)) {
-      ++stats_->validation_rows;
-      ++stats_->fullscan_rows;
-      if ((stats_->validation_rows & kInterruptPollMask) == 0 &&
-          BudgetExceeded()) {
-        fold_sip();
-        return CandidateOutcome::kBudgetExhausted;
-      }
-      if (rout_set_->count(row) == 0) {
-        fold_sip();
-        return CandidateOutcome::kExtraTuples;
-      }
-    }
-    fold_sip();
-    if ((*cursor)->interrupted()) return CandidateOutcome::kBudgetExhausted;
-    return CandidateOutcome::kGenerating;
+    return ExtrasCheck(candidate, exec);
   }
 
   if (!options_->use_progressive_validation) {

@@ -11,7 +11,11 @@
 //     pi(R_out) on the walk's endpoint columns; verdicts are memoized in
 //     Feedback and shared across candidates (lazy, per Section 4.5).
 //  3. Progressive full evaluation: stream Q(D) one tuple at a time and stop
-//     at the first contradiction.
+//     at the first contradiction. In exact mode with probing, the extras
+//     check streams at most kExtrasStreamRowCap examined rows; a prefix that
+//     ends undecided falls back to one block evaluation of Q (memoized when
+//     a subplan cache is attached, DESIGN.md §13), guarded to stop at the
+//     first tuple outside R_out.
 #pragma once
 
 #include <functional>
@@ -83,6 +87,10 @@ class Validator {
   CandidateOutcome AllTupleProbe(const Execution& exec);
   CandidateOutcome FullCheck(const CandidateQuery& candidate,
                              const Execution& exec);
+  /// Rules out tuples of Q(D) outside R_out once R_out ⊆ Q(D) holds: a
+  /// bounded stream first, the block path only when it ends undecided.
+  CandidateOutcome ExtrasCheck(const CandidateQuery& candidate,
+                               const Execution& exec);
 
   bool BudgetExceeded() const {
     return budget_exceeded_ && budget_exceeded_();
@@ -103,6 +111,9 @@ class Validator {
   // Rows streamed by the partial probe before giving up (keeps the probe a
   // quick check even for unselective first columns).
   static constexpr uint64_t kPartialProbeRowCap = 256;
+  // Rows the extras stream examines before it falls back to the block path:
+  // one interrupt-poll stride, the first point the cursor can stop at.
+  static constexpr uint64_t kExtrasStreamRowCap = kInterruptPollMask + 1;
 };
 
 }  // namespace fastqre

@@ -20,9 +20,9 @@
 //       sets the tuples-per-morsel granularity (DESIGN.md §12) — both leave
 //       the answer byte-identical.
 //       --no-sip disables sideways-information-passing bitmap filters and
-//       --subplan-cache-mb sets the cross-candidate subplan memoization
-//       budget (0 disables; DESIGN.md §13) — the E15 ablation axes, again
-//       answer-preserving.
+//       --subplan-cache-mb sets the budget of the cross-candidate subplan
+//       memoization behind the extras check's block fallback (0 disables
+//       memoization only; DESIGN.md §13) — again answer-preserving.
 //       --memory-budget-mb caps the tracked search-path allocations
 //       (DESIGN.md §11; 0 = unlimited); --cancel-after fires Cancel() from a
 //       watchdog thread after S seconds — the external-cancellation test
@@ -188,6 +188,7 @@ std::string StatsToJson(const QreStats& s, bool found,
   num("coherence_rows", s.coherence_rows);
   num("alltuple_rows", s.alltuple_rows);
   num("fullscan_rows", s.fullscan_rows);
+  num("extras_block_fallbacks", s.extras_block_fallbacks);
   num("walk_cache_hits", s.walk_cache_hits);
   num("walk_cache_misses", s.walk_cache_misses);
   num("walk_cache_evictions", s.walk_cache_evictions);
