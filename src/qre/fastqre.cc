@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <thread>
 
 #include "common/fault_injection.h"
 #include "common/resource_governor.h"
@@ -64,15 +63,15 @@ Result<Table> NormalizeRout(const Database& db, const Table& rout) {
 // The calling thread submits a mapping's candidates in rank order, tagged
 // with a sequence number, and takes their outcomes back in that order. With
 // QreOptions::validation_threads == 1, Submit() validates inline; with
-// N > 1 it pushes onto a bounded queue (capacity 2N) drained by N workers
-// that share the thread-safe Database caches and Feedback. Releasing in rank
-// order is the rank barrier: a generating verdict at rank s is acted on only
-// after every rank < s completed non-generating, so the answers are
-// byte-identical to a serial run's. Once the `need`-th generating rank f is
-// known, ranks > f are cancelled: dropped from the queue, or interrupted in
-// flight through the executor's interrupt callback. Shared feedback only
-// dismisses provably non-generating subtrees, so it reorders work, never
-// answers.
+// N > 1 it submits each candidate as a task to the engine's thread pool,
+// keeping at most 3N of them outstanding. The tasks share the thread-safe
+// Database caches and Feedback. Releasing in rank order is the rank
+// barrier: a generating verdict at rank s is acted on only after every
+// rank < s completed non-generating, so the answers are byte-identical to a
+// serial run's. Once the `need`-th generating rank f is known, ranks > f
+// are cancelled: skipped when their task starts, or interrupted in flight
+// through the executor's interrupt callback. Shared feedback only dismisses
+// provably non-generating subtrees, so it reorders work, never answers.
 
 // One validated (or cancelled) candidate, tagged with its rank.
 struct RankedOutcome {
@@ -88,38 +87,25 @@ class RankedValidation {
   using ValidateFn =
       std::function<CandidateOutcome(const CandidateQuery&, Interrupt)>;
 
-  // Cancels ranks below the `need_answers`-th generating one. Every pointer
-  // must outlive this object.
+  // Cancels ranks below the `need_answers`-th generating one. `pool` runs
+  // the validation tasks when validation_threads > 1 and must then be
+  // non-null. Every pointer must outlive this object.
   RankedValidation(const QreOptions* options, size_t need_answers,
                    ValidateFn validate, std::function<bool()> budget_exceeded,
                    Feedback* feedback, QreStats* stats,
-                   ResourceGovernor* governor)
+                   ResourceGovernor* governor, ThreadPool* pool)
       : options_(options),
         need_answers_(need_answers),
         validate_(std::move(validate)),
         budget_exceeded_(std::move(budget_exceeded)),
         feedback_(feedback),
         stats_(stats),
-        governor_(governor) {
-    const int threads = options_->validation_threads;
-    if (threads <= 1) return;
-    queue_ = std::make_unique<BoundedQueue<RankedOutcome>>(2 * threads);
-    workers_.reserve(static_cast<size_t>(threads));
-    for (int i = 0; i < threads; ++i) {
-      workers_.emplace_back([this] {
-        RankedOutcome ro;
-        while (queue_->Pop(&ro)) {
-          // Fault site "parallel-worker": fires once per dequeued candidate,
-          // so a cancel/delay schedule can target the exact worker
-          // iteration that races the rank barrier (DESIGN.md §11).
-          if (governor_ != nullptr) governor_->FaultPoint("parallel-worker");
-          Validate(std::move(ro));
-        }
-      });
-    }
-  }
+        governor_(governor),
+        pool_(options->validation_threads > 1 ? pool : nullptr),
+        max_outstanding_(3 * static_cast<size_t>(
+                                 std::max(1, options->validation_threads))) {}
 
-  // Workers hold `this`; the destructor joins them.
+  // Tasks hold `this`; the destructor waits for them.
   RankedValidation(const RankedValidation&) = delete;
   RankedValidation& operator=(const RankedValidation&) = delete;
   ~RankedValidation() { Finish(); }
@@ -131,15 +117,30 @@ class RankedValidation {
            cancel_floor_.load(std::memory_order_relaxed) == kNoFloor;
   }
 
-  // Validates candidate `seq` — the next rank — inline, or queues it.
+  // Validates candidate `seq` — the next rank — inline, or submits it to
+  // the pool once fewer than 3N submitted ranks are still incomplete (the
+  // back-pressure that keeps composition close to validation).
   void Submit(uint64_t seq, CandidateQuery cand) {
-    RankedOutcome ro{seq, std::move(cand)};
-    if (queue_ == nullptr) {
-      Validate(std::move(ro));
-    } else if (!queue_->Push(std::move(ro))) {
-      return;  // closed by Finish()
-    }
     ++submitted_;
+    if (pool_ == nullptr) {
+      Validate(RankedOutcome{seq, std::move(cand)});
+      return;
+    }
+    {
+      MutexLock lock(&mu_);
+      while (outstanding_ >= max_outstanding_) completed_.Wait(mu_);
+      ++outstanding_;
+    }
+    // std::function needs a copyable callable, hence the shared_ptr.
+    auto ro =
+        std::make_shared<RankedOutcome>(RankedOutcome{seq, std::move(cand)});
+    pool_->Submit([this, ro] {
+      // Fault site "parallel-worker": fires once per validation task, so a
+      // cancel/delay schedule can target the exact task that races the
+      // rank barrier (DESIGN.md §11).
+      if (governor_ != nullptr) governor_->FaultPoint("parallel-worker");
+      Validate(std::move(*ro));
+    });
   }
 
   // Moves the outcome of the next unreleased rank into `out`. With `wait`,
@@ -159,13 +160,11 @@ class RankedValidation {
     return true;
   }
 
-  // Stops production and joins the workers, which drop the queued ranks
-  // that became moot. Idempotent.
+  // Waits for every submitted task; ranks that became moot finish at once.
+  // Only this object's tasks count: the pool is shared. Idempotent.
   void Finish() {
-    if (queue_ == nullptr) return;
-    queue_->Close();
-    for (auto& t : workers_) t.join();
-    workers_.clear();
+    MutexLock lock(&mu_);
+    while (outstanding_ > 0) completed_.Wait(mu_);
   }
 
  private:
@@ -195,6 +194,8 @@ class RankedValidation {
         feedback_->AddDeadSet(ro.cand.walk_ids);
       }
     }
+    // The task's last touch of `this`: Finish() may return, and this object
+    // die, as soon as the lock is released.
     MutexLock lock(&mu_);
     if (ro.outcome == CandidateOutcome::kGenerating) {
       generating_.insert(seq);
@@ -205,6 +206,7 @@ class RankedValidation {
       }
     }
     done_.emplace(seq, std::move(ro));
+    if (pool_ != nullptr) --outstanding_;
     completed_.NotifyAll();
   }
 
@@ -215,8 +217,8 @@ class RankedValidation {
   Feedback* feedback_;
   QreStats* stats_;
   ResourceGovernor* governor_;
-
-  std::unique_ptr<BoundedQueue<RankedOutcome>> queue_;  // null: inline
+  ThreadPool* const pool_;  // null: validate inline
+  const size_t max_outstanding_;
 
   // Ranks strictly greater than cancel_floor_ can no longer affect the
   // answers and are cancelled.
@@ -228,12 +230,12 @@ class RankedValidation {
   // The rank frontier: completed outcomes not yet released, by rank.
   std::map<uint64_t, RankedOutcome> done_ GUARDED_BY(mu_);
   std::set<uint64_t> generating_ GUARDED_BY(mu_);
+  // Submitted pool tasks that have not completed.
+  size_t outstanding_ GUARDED_BY(mu_) = 0;
 
   // Calling thread only.
   uint64_t submitted_ = 0;
   uint64_t released_ = 0;
-
-  std::vector<std::thread> workers_;  // last: they use every member above
 };
 
 }  // namespace
@@ -273,11 +275,13 @@ FastQre::FastQre(const Database* db, QreOptions options)
   cancel_token_ = std::make_shared<CancellationToken>();
   governor_ = std::make_shared<ResourceGovernor>(
       options_.memory_budget_bytes, cancel_token_, std::move(injector));
-  if (options_.intra_candidate_threads > 1) {
-    // N morsel workers per batch = the dispatching thread + (N-1) helpers.
-    intra_pool_ =
-        std::make_unique<ThreadPool>(options_.intra_candidate_threads - 1);
-  }
+  // One pool for all parallel work: N validation threads when
+  // validation_threads = N > 1, plus M - 1 morsel helpers when
+  // intra_candidate_threads = M (each batch's dispatching thread is the M-th).
+  const int pool_threads =
+      (options_.validation_threads > 1 ? options_.validation_threads : 0) +
+      std::max(0, options_.intra_candidate_threads - 1);
+  if (pool_threads > 0) pool_ = std::make_unique<ThreadPool>(pool_threads);
   if (options_.walk_cache_budget_bytes > 0) {
     walk_cache_ = std::make_shared<WalkCache>(options_.walk_cache_budget_bytes,
                                               options_.walk_cache_admission,
@@ -330,7 +334,7 @@ FastQre& FastQre::operator=(FastQre&& other) noexcept {
     subplan_cache_ = std::move(other.subplan_cache_);
     cancel_token_ = std::move(other.cancel_token_);
     governor_ = std::move(other.governor_);
-    intra_pool_ = std::move(other.intra_pool_);
+    pool_ = std::move(other.pool_);
     fault_spec_error_ = std::move(other.fault_spec_error_);
   }
   return *this;
@@ -389,7 +393,7 @@ Result<std::vector<QreAnswer>> FastQre::ReverseAll(
       static_cast<size_t>(std::max(1, options_.morsel_size));
   exec_policy.intra_threshold =
       static_cast<size_t>(std::max(0, options_.intra_row_threshold));
-  exec_policy.pool = intra_pool_.get();
+  exec_policy.pool = pool_.get();
   exec_policy.use_sip = options_.use_sip;
   exec_policy.subplan_cache = subplan_cache_.get();
   // Candidate-local charges go to THIS engine's governor, never the
@@ -491,7 +495,8 @@ Result<std::vector<QreAnswer>> FastQre::ReverseAll(
     };
     const size_t need = static_cast<size_t>(limit) - answers.size();
     RankedValidation validation(&options_, need, validate, budget_exceeded,
-                                &feedback, &stats, governor_.get());
+                                &feedback, &stats, governor_.get(),
+                                pool_.get());
 
     // Handles one outcome, strictly in rank order: the one place answers
     // are published. Returns false when the mapping's search is over — the
@@ -508,8 +513,8 @@ Result<std::vector<QreAnswer>> FastQre::ReverseAll(
       if (ro.outcome == CandidateOutcome::kBudgetExhausted) return false;
       if (ro.outcome != CandidateOutcome::kGenerating) return true;
       const bool last = static_cast<int>(answers.size()) + 1 >= limit;
-      // The answer that reaches the limit waits for the workers to join, so
-      // its stats count every cancelled speculative candidate.
+      // The answer that reaches the limit waits for the validation tasks to
+      // finish, so its stats count every cancelled speculative candidate.
       if (last) validation.Finish();
       QreAnswer a;
       a.found = true;

@@ -85,10 +85,10 @@ struct QreAnswer {
 /// concurrent Reverse() calls may share one Database instance. Each column
 /// mapping's candidates go through one rank-ordered validation loop: they
 /// are validated inline on the calling thread (validation_threads == 1) or
-/// by that many worker threads spawned for the mapping, and their outcomes
-/// are released strictly in rank order. Answers are therefore
-/// deterministic (byte-identical SQL) regardless of thread count — see
-/// DESIGN.md §8 for the rank-barrier protocol.
+/// as tasks on the engine's thread pool, and their outcomes are released
+/// strictly in rank order. Answers are therefore deterministic
+/// (byte-identical SQL) regardless of thread count — see DESIGN.md §8 for
+/// the rank-barrier protocol.
 class FastQre {
  public:
   /// `db` must outlive the engine.
@@ -159,12 +159,14 @@ class FastQre {
   // hold nulls and must not be used, as usual).
   std::shared_ptr<CancellationToken> cancel_token_;
   std::shared_ptr<ResourceGovernor> governor_;
-  // Engine-owned pool for intra-candidate morsel execution (DESIGN.md §12);
-  // null unless QreOptions::intra_candidate_threads > 1. Shared by every
-  // validation thread of every Reverse() call on this engine: RunMorsels
-  // batches always complete on the dispatching thread itself, so sharing
-  // the pool can delay but never deadlock a candidate.
-  std::unique_ptr<ThreadPool> intra_pool_;
+  // The engine's one thread pool, built in the constructor and shared by
+  // every mapping of every concurrent Reverse() call. It runs validation
+  // tasks (DESIGN.md §8) and morsel helpers (DESIGN.md §12), so it has
+  // validation_threads threads when that is > 1, plus
+  // intra_candidate_threads - 1; null when that sum is 0. A validation task
+  // never waits for a queued task (RunMorsels waits only for helpers that
+  // started), so sharing the pool can delay but never deadlock a candidate.
+  std::unique_ptr<ThreadPool> pool_;
   // Deferred QreOptions::fault_spec / FASTQRE_FAULTS parse error, reported
   // by the next ReverseAll() call (constructors cannot return Status).
   Status fault_spec_error_;

@@ -71,8 +71,9 @@ struct QreOptions {
 
   /// Number of threads validating candidate queries concurrently. 1 (the
   /// default) validates each candidate inline on the calling thread; N > 1
-  /// runs the composer on the calling thread feeding a bounded queue
-  /// (capacity 2N) drained by N workers, each with its own QueryCursor.
+  /// runs the composer on the calling thread and each candidate as a task
+  /// on the engine's thread pool (N of its threads, at most 3N tasks of a
+  /// mapping outstanding), each with its own QueryCursor.
   /// Answers are deterministic regardless of N: outcomes are released in
   /// rank order, so a generating candidate is only accepted once every
   /// higher-ranked candidate has completed non-generating (the rank
@@ -83,7 +84,8 @@ struct QreOptions {
   /// *inside* one candidate's materializing checks — block evaluation and
   /// the per-R_out-tuple probe pass (DESIGN.md §12). 1 (the default) keeps
   /// every candidate on its own validation thread. N > 1 dispatches morsels
-  /// onto an engine-owned pool shared across validation threads; morsel
+  /// onto the engine's thread pool (N - 1 of its threads), which the
+  /// validation tasks share; morsel
   /// results merge in morsel-index order, so answers stay byte-identical at
   /// any setting.
   int intra_candidate_threads = 1;

@@ -76,15 +76,23 @@ TEST_F(CacheStressTest, ConcurrentIndexesMatchSerialBuilds) {
   // agree key-for-key with the concurrently-built cache.
   Database serial = BuildTpch({.scale_factor = 0.001, .seed = 3}).ValueOrDie();
 
-  ThreadPool pool(kThreads);
-  for (TableId t = 0; t < db_.num_tables(); ++t) {
-    for (ColumnId c = 0; c < db_.table(t).num_columns(); ++c) {
-      for (int dup = 0; dup < 4; ++dup) {  // duplicate requests on purpose
-        pool.Submit([&, t, c] { db_.GetOrBuildIndex(t, {c}); });
+  int submitted = 0;
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(kThreads);
+    for (TableId t = 0; t < db_.num_tables(); ++t) {
+      for (ColumnId c = 0; c < db_.table(t).num_columns(); ++c) {
+        for (int dup = 0; dup < 4; ++dup) {  // duplicate requests on purpose
+          pool.Submit([&, t, c] {
+            db_.GetOrBuildIndex(t, {c});
+            ++ran;
+          });
+          ++submitted;
+        }
       }
     }
-  }
-  pool.Wait();
+  }  // the destructor drains every queued build before joining
+  EXPECT_EQ(ran.load(), submitted);
 
   for (TableId t = 0; t < db_.num_tables(); ++t) {
     for (ColumnId c = 0; c < db_.table(t).num_columns(); ++c) {

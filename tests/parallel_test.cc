@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -292,6 +295,42 @@ TEST_F(ParallelQreTest, IntraCandidateDeterminismMatrix) {
   }
 }
 
+TEST_F(ParallelQreTest, ConcurrentReverseAllOnOneEngineShareItsPool) {
+  // Validation tasks and morsel helpers of two concurrent calls all run on
+  // the engine's one pool (DESIGN.md §8, §12). A tiny morsel size and
+  // threshold send every candidate's morsels through that pool too. Both
+  // calls must still answer byte-identically to a serial engine.
+  for (int i : {8, 9}) {  // L09/L10
+    FastQre serial(&db_, QreOptions());
+    const std::vector<QreAnswer> reference =
+        serial.ReverseAll(workload_[i].rout, 1).ValueOrDie();
+
+    QreOptions opts;
+    opts.validation_threads = 4;
+    opts.intra_candidate_threads = 4;
+    opts.morsel_size = 7;
+    opts.intra_row_threshold = 1;
+    FastQre engine(&db_, opts);
+    std::vector<QreAnswer> got[2];
+    std::thread calls[2];
+    for (int c = 0; c < 2; ++c) {
+      calls[c] = std::thread([&, c] {
+        got[c] = engine.ReverseAll(workload_[i].rout, 1).ValueOrDie();
+      });
+    }
+    for (auto& t : calls) t.join();
+    for (int c = 0; c < 2; ++c) {
+      SCOPED_TRACE(workload_[i].name + " call " + std::to_string(c));
+      ASSERT_EQ(got[c].size(), reference.size());
+      for (size_t k = 0; k < reference.size(); ++k) {
+        EXPECT_EQ(got[c][k].found, reference[k].found) << k;
+        EXPECT_EQ(got[c][k].sql, reference[k].sql) << k;
+        EXPECT_EQ(got[c][k].failure_reason, reference[k].failure_reason) << k;
+      }
+    }
+  }
+}
+
 TEST_F(ParallelQreTest, MorselWorkerCancelKeepsProvedAnswers) {
   // An injected cancel firing inside a morsel worker must behave exactly
   // like an external Cancel(): the merge never deadlocks, answers already
@@ -376,50 +415,6 @@ TEST_F(ParallelQreTest, ExpiredBudgetFailsHonestlyInParallel) {
 
 // ---- Threading primitive unit tests ----------------------------------------
 
-TEST(BoundedQueueTest, FifoThroughManyProducersAndConsumers) {
-  BoundedQueue<int> q(4);
-  constexpr int kPerProducer = 500;
-  constexpr int kProducers = 4;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.Push(p * kPerProducer + i));
-      }
-    });
-  }
-  std::atomic<int> sum{0};
-  std::atomic<int> count{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      int v;
-      while (q.Pop(&v)) {
-        sum += v;
-        ++count;
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.Close();
-  for (auto& t : consumers) t.join();
-  const int n = kProducers * kPerProducer;
-  EXPECT_EQ(count.load(), n);
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
-TEST(BoundedQueueTest, CloseUnblocksProducersAndDrainsConsumers) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.Push(42));
-  std::thread blocked([&] { EXPECT_FALSE(q.Push(43)); });  // queue is full
-  q.Close();
-  blocked.join();
-  int v = 0;
-  EXPECT_TRUE(q.Pop(&v));  // buffered item still drains after Close
-  EXPECT_EQ(v, 42);
-  EXPECT_FALSE(q.Pop(&v));
-}
-
 TEST(RunMorselsTest, RunsEveryMorselExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> counts(100);
@@ -453,18 +448,59 @@ TEST(RunMorselsTest, ConcurrentBatchesOnSharedPoolBothComplete) {
   EXPECT_EQ(total.load(), 128);
 }
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&ran] { ++ran; });
+TEST(RunMorselsTest, ReturnsWhileThePoolsOnlyThreadIsBlocked) {
+  // A shared pool can have every thread busy with long work (validation
+  // tasks, DESIGN.md §8). The caller must finish its batch alone and return
+  // without waiting for a helper that is still queued. A watchdog releases
+  // the blocker after about 2 s, so a regression fails instead of hanging.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;  // guarded by mu
+  std::vector<std::atomic<int>> counts(64);
+  bool released_at_return = true;
+  {
+    ThreadPool pool(1);
+    std::atomic<bool> blocker_running{false};
+    pool.Submit([&] {
+      blocker_running = true;
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return released; });
+    });
+    while (!blocker_running) std::this_thread::yield();
+    std::thread watchdog([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait_for(lock, std::chrono::seconds(2), [&] { return released; });
+      released = true;
+      lock.unlock();
+      cv.notify_all();
+    });
+
+    // The helper is queued behind the blocker; the batch's fn is a
+    // temporary that dies when RunMorsels returns.
+    RunMorsels(&pool, 1, counts.size(), [&counts](size_t i) { ++counts[i]; });
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released_at_return = released;
+      released = true;
+    }
+    cv.notify_all();
+    watchdog.join();
+  }  // the pool's destructor runs the late helper, which must exit untouched
+  EXPECT_FALSE(released_at_return);
+  for (size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i].load(), 1) << i;
   }
-  pool.Wait();
+}
+
+TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&ran] { ++ran; });
+    }
+  }  // the destructor drains the queued tasks before joining
   EXPECT_EQ(ran.load(), 100);
-  // The pool stays usable after Wait().
-  pool.Submit([&ran] { ++ran; });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 101);
 }
 
 }  // namespace

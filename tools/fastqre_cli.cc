@@ -13,10 +13,13 @@
 //                   [--memory-budget-mb MB] [--cancel-after S]
 //                   [--stats] [--stats-json] [--verify] [--trace]
 //       Reverse engineer a generating query for the report. --threads N
-//       validates candidates on N worker threads; the answer is identical
-//       to a single-threaded run (rank-deterministic), just faster.
+//       validates candidates on N threads of the engine's pool; the answer
+//       is identical to a single-threaded run (rank-deterministic). It pays
+//       only when several candidates of a mapping are validated (L10);
+//       where one or two are, the speculation costs more than it saves.
 //       --intra-threads N additionally runs morsels *inside* one candidate's
-//       block evaluation and probe passes on N workers, and --morsel-size
+//       block evaluation and probe passes on N workers of the same pool
+//       (the validating thread and N-1 helpers), and --morsel-size
 //       sets the tuples-per-morsel granularity (DESIGN.md §12) — both leave
 //       the answer byte-identical.
 //       --no-sip disables sideways-information-passing bitmap filters and
