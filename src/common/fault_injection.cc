@@ -1,6 +1,8 @@
 #include "common/fault_injection.h"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <thread>
 
 #include "common/strings.h"
@@ -18,6 +20,11 @@ constexpr std::chrono::microseconds kDelaySleep{500};
 // that a matrix of stalled runs stays fast.
 constexpr std::chrono::milliseconds kStallSleep{50};
 
+bool IsFaultSite(std::string_view site) {
+  return std::find(std::begin(kFaultSites), std::end(kFaultSites), site) !=
+         std::end(kFaultSites);
+}
+
 }  // namespace
 
 Result<std::unique_ptr<FaultInjector>> FaultInjector::Parse(
@@ -32,6 +39,11 @@ Result<std::unique_ptr<FaultInjector>> FaultInjector::Parse(
     }
     Rule rule;
     rule.site = part.substr(0, eq);
+    if (!IsFaultSite(rule.site)) {
+      return Status::InvalidArgument("fault rule '" + part +
+                                     "' names unknown site '" + rule.site +
+                                     "'");
+    }
     std::string kind = part.substr(eq + 1);
     size_t at = kind.find('@');
     if (at != std::string::npos) {

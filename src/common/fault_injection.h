@@ -9,11 +9,12 @@
 //     kind  := "alloc-fail" | "cancel" | "delay"
 //            | "short-write" | "reset" | "stall" | "garbage"
 //
-// `site` names an injection point from the fault-site registry (DESIGN.md
-// §11 lists them; e.g. index-build, walk-cache-build, mapping-frontier,
-// parallel-worker). A rule fires from the <n>-th hit of its site onward
-// (default 1), or only on hits <n>..<m> inclusive when a window is given —
-// windows are what make destructive wire kinds recoverable: "reset@7..7"
+// `site` names an injection point from kFaultSites below (DESIGN.md §11
+// describes each); Parse rejects any other name, so a stale or misspelt
+// site fails loudly instead of silently injecting nothing. A rule fires
+// from the <n>-th hit of its site onward (default 1), or only on hits
+// <n>..<m> inclusive when a window is given — windows are what make
+// destructive wire kinds recoverable: "reset@7..7"
 // kills exactly one frame write and lets the retried stream through.
 // Hits are counted per rule with a relaxed atomic, so a given spec
 // produces the same injection schedule on every run — faults are part of
@@ -47,12 +48,24 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/counters.h"
 #include "common/result.h"
 
 namespace fastqre {
+
+/// \brief The fault-site registry: every site name the program hits. Engine
+/// sites are governor charges and fault points; job-admit is the job
+/// manager's admission; the wire sites are the server's socket layer.
+inline constexpr std::string_view kFaultSites[] = {
+    "answer-found",     "block-buffer",  "cgm-discovery",
+    "filter-build",     "index-build",   "job-admit",
+    "mapping-frontier", "morsel-worker", "parallel-worker",
+    "pattern-build",    "walk-cache-build",
+    "wire-accept",      "wire-read",     "wire-write",
+};
 
 /// \brief What an injection site should simulate on one hit. Multiple rules
 /// may target the same site, so the actions are independent flags.
@@ -70,7 +83,8 @@ struct FaultActions {
 class FaultInjector {
  public:
   /// Parses a fault spec (see file comment). Returns InvalidArgument on a
-  /// malformed rule; an empty spec yields an injector with no rules.
+  /// malformed rule or a site outside kFaultSites; an empty spec yields an
+  /// injector with no rules.
   static Result<std::unique_ptr<FaultInjector>> Parse(const std::string& spec);
 
   /// Records one hit of `site` and returns the actions that fired. A delay

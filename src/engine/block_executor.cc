@@ -1,7 +1,6 @@
 #include "engine/block_executor.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <unordered_set>
 
@@ -9,7 +8,6 @@
 #include "common/resource_governor.h"
 #include "common/thread_pool.h"
 #include "engine/executor.h"
-#include "engine/subplan_cache.h"
 
 namespace fastqre {
 
@@ -24,19 +22,13 @@ constexpr uint64_t kChargeQuantumBytes = 64 * 1024;
 // can otherwise exhaust memory before any time budget fires. Enforced
 // exactly at merge time (so the verdict is identical in every execution
 // configuration) and approximately inside each worker (so no single morsel
-// materializes unboundedly past it). Subplan-cache hits replay the stored
-// pre-filter enumeration count into the approximate counter, so the verdict
-// is also identical whether a prefix was recomputed or served from cache.
+// materializes unboundedly past it).
 constexpr size_t kMaxIntermediateRows = 20'000'000;
 
 // Rows the probe kernel expands per LookupBatch call before filtering and
 // appending: bounds the reusable match scratch even for keys with huge
 // posting lists.
 constexpr size_t kBatchExpandRowCap = 64 * 1024;
-
-// Version tag leading every subplan signature, so a future encoding change
-// can never alias entries written by an older one.
-constexpr uint32_t kSubplanSigVersion = 1;
 
 // Bindings the interface-dedup pass examines before deciding whether the
 // collapse pays for itself (see the bail-out in iface_dedup below).
@@ -198,19 +190,10 @@ struct SipFilters {
 
 // One future-join SIP constraint of a plan step: the step instance's
 // `local_col` must hit the presence filter of `other_table`.`other_col`.
-// Per-candidate (the partner set depends on the candidate's later joins), so
-// SIP is only applied to steps whose output is never memoized — see
-// resolve_sip below — keeping subplan signatures SIP-free and shareable.
 struct SipDescriptor {
   ColumnId local_col;
   TableId other_table;
   ColumnId other_col;
-
-  bool operator<(const SipDescriptor& o) const {
-    if (local_col != o.local_col) return local_col < o.local_col;
-    if (other_table != o.other_table) return other_table < o.other_table;
-    return other_col < o.other_col;
-  }
 };
 
 }  // namespace
@@ -240,8 +223,6 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
   // and fully released on exit via the guard below. A refused charge
   // dismisses this candidate only (the validator maps candidate-local
   // ResourceExhausted to kError); it never aborts the whole search.
-  // Memoized prefixes served from the subplan cache are charged there
-  // ("subplan-build") instead, for the cache's lifetime.
   // The policy's governor is the engine driving this candidate; the
   // database attachment is only a fallback for standalone executor use —
   // it is last-attach-wins across engines, so charging it here would let a
@@ -332,20 +313,11 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
           query.instance_table(a_is_earlier ? j.b : j.a),
           a_is_earlier ? j.col_b : j.col_a});
     }
-    // det: order-insensitive — canonicalized per step for signature
-    // stability; the tests are a conjunction, so their order is immaterial.
-    for (auto& descs : sip_descs) std::sort(descs.begin(), descs.end());
   }
-  // With memoization active, SIP is restricted to the final step: its output
-  // is never cached, so the per-candidate filter set cannot leak into a
-  // shared intermediate — prefixes stay SIP-free, byte-identical across
-  // candidates, and their signatures need no SIP descriptors. Without a
-  // cache every step filters (nothing is shared, so nothing can alias).
-  const bool sip_all_steps =
-      policy.use_sip && policy.subplan_cache == nullptr;
+  // Resolves step p's SIP tests; every step gets them (none when SIP is
+  // off). Their order is immaterial: a row must pass them all.
   auto resolve_sip = [&](size_t p) {
     SipFilters filters;
-    if (!policy.use_sip || (!sip_all_steps && p + 1 < n)) return filters;
     const Table& t = db.table(query.instance_table(order[p]));
     for (const SipDescriptor& d : sip_descs[p]) {
       filters.tests.emplace_back(
@@ -355,17 +327,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
     return filters;
   };
 
-  // Canonical prefix signatures (DESIGN.md §13): sigs[p] encodes everything
-  // that determines the binding matrix after step p — per placed instance
-  // its table, local predicates, SIP set, and (for p >= 1) the join-key
-  // wiring in plan-position space. Plan positions, not instance ids, so two
-  // candidates sharing a prefix shape alias regardless of numbering;
-  // projections are deliberately absent (they only shape the final
-  // projection, never the intermediates).
-  SubplanCache* cache = policy.subplan_cache;
-  std::vector<SubplanCache::Signature> sigs;
-  // Step key wiring, computed once here and reused by the execution loop
-  // below: key_cols[p] are the probe columns of step p's index,
+  // Step key wiring: key_cols[p] are the probe columns of step p's index,
   // key_sources[p] the (plan position, column) each key component reads.
   std::vector<std::vector<ColumnId>> key_cols(n);
   std::vector<std::vector<std::pair<int, ColumnId>>> key_sources(n);
@@ -427,9 +389,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
   // emitted, in order, by its earlier representative). This collapses
   // chain-join intermediates from row-pair counts to distinct-value counts —
   // the multiplicative shrink the extras check lives on. iface[p] is the
-  // interface spec after step p, in (plan position, column) pairs; it depends
-  // on the suffix, so it is appended to sigs[p] below (two candidates whose
-  // suffixes read different interfaces must not alias).
+  // interface spec after step p, in (plan position, column) pairs.
   std::vector<std::vector<std::pair<int, ColumnId>>> iface;
   if (stream_last) {
     iface.resize(n);
@@ -446,88 +406,29 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
           spec.emplace_back(pos[proj.instance], proj.column);
         }
       }
-      // det: order-insensitive — canonicalized for signature stability.
+      // det: order-insensitive — sorted only so duplicates collapse; the
+      // spec is a set and its order never reaches the output.
       std::sort(spec.begin(), spec.end());
       spec.erase(std::unique(spec.begin(), spec.end()), spec.end());
-    }
-  }
-
-  if (cache != nullptr) {
-    // The guard path stores interface-deduped intermediates, the plain path
-    // full ones; the leading flag keeps the two universes from aliasing.
-    SubplanCache::Signature enc{kSubplanSigVersion, stream_last ? 1u : 0u};
-    sigs.resize(n);
-    for (size_t p = 0; p < n; ++p) {
-      const InstanceId inst = order[p];
-      enc.push_back(static_cast<uint32_t>(query.instance_table(inst)));
-      // Join-key wiring in (source position, source column, local column)
-      // triples, canonically sorted: candidates declaring the same joins in
-      // a different order produce the same matches in the same order.
-      std::vector<std::array<uint32_t, 3>> wiring;
-      for (size_t k = 0; k < key_cols[p].size(); ++k) {
-        // Folded selection components are omitted: they derive
-        // deterministically from the selections encoded just below.
-        if (key_sources[p][k].first < 0) continue;
-        wiring.push_back({static_cast<uint32_t>(key_sources[p][k].first),
-                          static_cast<uint32_t>(key_sources[p][k].second),
-                          static_cast<uint32_t>(key_cols[p][k])});
-      }
-      std::sort(wiring.begin(), wiring.end());
-      enc.push_back(static_cast<uint32_t>(wiring.size()));
-      for (const auto& w : wiring) enc.insert(enc.end(), w.begin(), w.end());
-      // Local predicates, canonically sorted.
-      std::vector<std::pair<uint32_t, uint32_t>> sels, selfs;
-      for (const auto& s : query.selections()) {
-        if (s.instance == inst) sels.emplace_back(s.column, s.value);
-      }
-      for (const auto& j : query.joins()) {
-        if (j.a == inst && j.b == inst) selfs.emplace_back(j.col_a, j.col_b);
-      }
-      std::sort(sels.begin(), sels.end());
-      std::sort(selfs.begin(), selfs.end());
-      enc.push_back(static_cast<uint32_t>(sels.size()));
-      for (const auto& [c, v] : sels) {
-        enc.push_back(c);
-        enc.push_back(v);
-      }
-      enc.push_back(static_cast<uint32_t>(selfs.size()));
-      for (const auto& [a, b] : selfs) {
-        enc.push_back(a);
-        enc.push_back(b);
-      }
-      sigs[p] = enc;
-      if (stream_last) {
-        sigs[p].push_back(static_cast<uint32_t>(iface[p].size()));
-        for (const auto& [ip, ic] : iface[p]) {
-          sigs[p].push_back(static_cast<uint32_t>(ip));
-          sigs[p].push_back(static_cast<uint32_t>(ic));
-        }
-      }
     }
   }
 
   // Intermediate relation: a flat row-major matrix, one RowId per placed
   // instance per row. Flat (instead of a vector per row) so morsel workers
   // scan their driving slice cache-linearly and the merge is a memcpy.
-  // Accessed through a pointer so a memoized prefix can be consumed in
-  // place (pinned, immutable) without copying it out of the cache.
-  // gov: charged — every locally appended row's bytes flow through the
-  // per-morsel quantum flushes below (released by charge_guard); cache-
-  // served rows stay charged to the cache's own "subplan-build" budget.
-  std::vector<RowId> rows_storage;
-  const std::vector<RowId>* rows = &rows_storage;
+  // gov: charged — every appended row's bytes flow through the per-morsel
+  // quantum flushes below (released by charge_guard).
+  std::vector<RowId> rows;
   size_t width = 1;
-  size_t start_step = 1;
-  SubplanCache::Handle prefix_pin;  // keeps a hit alive while we read it
 
-  // Collapses rows_storage (the intermediate after step p) to the first
+  // Collapses rows (the intermediate after step p) to the first
   // binding of each interface-value class. Serial over the merged buffer, so
   // the kept set is identical at any thread count / morsel size.
   auto iface_dedup = [&](size_t p) {
     if (!stream_last || p + 1 >= n) return;
     const auto& spec = iface[p];
     const size_t w = p + 1;
-    const size_t count = rows_storage.size() / w;
+    const size_t count = rows.size() / w;
     std::vector<const ValueId*> icol(spec.size());
     std::vector<int> ipos(spec.size());
     for (size_t j = 0; j < spec.size(); ++j) {
@@ -547,12 +448,12 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
       // distinct classes, the pass cannot shrink the intermediate enough to
       // pay for itself — keep the buffer as is (duplicates are harmless:
       // downstream steps and the final dedup set absorb them). The decision
-      // depends only on the data and the interface spec, so two executions
-      // of the same prefix — live or via the subplan cache — agree on it.
+      // depends only on the data and the interface spec, so it is identical
+      // at any thread count / morsel size.
       if (i == kDedupSampleRows && kept.size() / w > kDedupSampleRows / 2) {
         return;
       }
-      const RowId* binding = rows_storage.data() + i * w;
+      const RowId* binding = rows.data() + i * w;
       for (size_t j = 0; j < spec.size(); ++j) {
         ikey[j] = icol[j][binding[ipos[j]]];
       }
@@ -560,37 +461,12 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
         kept.insert(kept.end(), binding, binding + w);
       }
     }
-    rows_storage.swap(kept);
+    rows.swap(kept);
   };
 
-  // Probe the cache deepest-prefix-first. Prefixes after the last join step
-  // are never cached (the full join is the result, not a reusable prefix).
-  // The step-0 scan is: interface dedup collapses it to its distinct class
-  // representatives, so convoy candidates sharing a start table skip both
-  // the rescan and the dedup pass. Every probe counts toward the admission
-  // threshold, so the second candidate of a convoy stores what the third
-  // consumes.
-  if (cache != nullptr && n >= 2) {
-    for (int p = static_cast<int>(n) - 2; p >= 0; --p) {
-      SubplanCache::Handle handle = cache->Lookup(sigs[p]);
-      if (handle != nullptr) {
-        prefix_pin = std::move(handle);
-        rows = &prefix_pin->rows;
-        width = prefix_pin->width;
-        start_step = p + 1;
-        // Replay the stored pre-filter enumeration count so the
-        // intermediate-size-cap verdict is identical to a fresh run's.
-        produced.store(prefix_pin->enumerated, std::memory_order_relaxed);
-        if (run_stats != nullptr) ++run_stats->subplan_hits;
-        break;
-      }
-    }
-  }
-
   // Step 0: filter the start table's rows, one morsel-sized chunk at a time
-  // (per-chunk interrupt polls; the scan itself is cheap). Skipped entirely
-  // when a memoized prefix already covers it.
-  if (prefix_pin == nullptr) {
+  // (per-chunk interrupt polls; the scan itself is cheap).
+  {
     const Table& t0 = db.table(query.instance_table(order[0]));
     LocalFilters filters;
     filters.Build(db, query, order[0], /*include_selections=*/true);
@@ -607,7 +483,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
           ++skips;
           continue;
         }
-        rows_storage.push_back(r);
+        rows.push_back(r);
         pending += sizeof(RowId);
       }
       if (governor != nullptr && pending >= kChargeQuantumBytes) {
@@ -628,21 +504,9 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
     }
     sip_skipped.fetch_add(skips, std::memory_order_relaxed);
     iface_dedup(0);
-    // Offer the (possibly interface-deduped) scan like any other prefix;
-    // WantsInsert gates the snapshot on admission, Insert charges
-    // "subplan-build".
-    if (cache != nullptr && n >= 2 && cache->WantsInsert(sigs[0])) {
-      auto snap = std::make_shared<SubplanTable>();
-      snap->rows = rows_storage;
-      snap->width = 1;
-      snap->enumerated = produced.load(std::memory_order_relaxed);
-      snap->bytes =
-          sizeof(SubplanTable) + snap->rows.capacity() * sizeof(RowId);
-      (void)cache->Insert(sigs[0], std::move(snap));
-    }
   }
 
-  for (size_t p = start_step; p < last_materialized; ++p) {
+  for (size_t p = 1; p < last_materialized; ++p) {
     InstanceId inst = order[p];
     // Build side of the hash join: interruptible, so a deadline or Cancel()
     // lands inside a large index build instead of after it (DESIGN.md §13).
@@ -673,7 +537,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
               .data();
     }
 
-    const std::vector<RowId>& drv = *rows;
+    const std::vector<RowId>& drv = rows;
     const size_t w = width;
     const size_t count = drv.size() / w;
     const size_t num_morsels = (count + morsel - 1) / morsel;
@@ -785,7 +649,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
           "block evaluation exceeded the intermediate-size cap");
     }
     if (num_morsels == 1) {
-      rows_storage = std::move(morsel_out[0]);
+      rows = std::move(morsel_out[0]);
     } else {
       // gov: charged — replaced buffer; its bytes were charged above and the
       // cumulative total is released by charge_guard at exit.
@@ -794,26 +658,10 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
       for (auto& buf : morsel_out) {
         merged.insert(merged.end(), buf.begin(), buf.end());
       }
-      rows_storage = std::move(merged);
+      rows = std::move(merged);
     }
-    rows = &rows_storage;
-    prefix_pin.reset();  // a consumed hit is no longer read past its step
     width = w + 1;
     iface_dedup(p);
-
-    // Offer the finished prefix to the cache (never the final step — the
-    // full join is the result, not a reusable prefix). WantsInsert gates the
-    // snapshot copy on admission, so one-shot prefixes cost nothing extra;
-    // Insert re-checks and charges "subplan-build" (also the fault site).
-    if (cache != nullptr && p + 1 < n && cache->WantsInsert(sigs[p])) {
-      auto snap = std::make_shared<SubplanTable>();
-      snap->rows = rows_storage;
-      snap->width = width;
-      snap->enumerated = produced.load(std::memory_order_relaxed);
-      snap->bytes =
-          sizeof(SubplanTable) + snap->rows.capacity() * sizeof(RowId);
-      (void)cache->Insert(sigs[p], std::move(snap));
-    }
   }
 
   // Project and dedupe: serial (first-occurrence order defines the output
@@ -833,8 +681,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
     proj_data[i] = src.data().data();
     proj_pos[i] = pos[proj.instance];
   }
-  const std::vector<RowId>& fin = *rows;
-  const size_t out_count = width == 0 ? 0 : fin.size() / width;
+  const size_t out_count = width == 0 ? 0 : rows.size() / width;
   // gov: charged — dedup-set bytes accumulate in `pending` below. On the
   // guard path the distinct-tuple set is bounded by the guard itself (the
   // first tuple past it ends the run), so size for that instead of the
@@ -861,7 +708,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
     // Streamed final step (exact extras check): probe the last index one
     // prefix binding at a time and project/dedupe/guard-check each match
     // immediately. Serial — the early exit IS the optimization, and the
-    // memoized prefix already absorbed the parallel work.
+    // materialized prefix steps already absorbed the parallel work.
     const size_t p = n - 1;
     const HashIndex* index_ptr = db.TryGetOrBuildIndex(
         query.instance_table(order[p]), key_cols[p], interrupt);
@@ -901,7 +748,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
                                       key_cols[p])
             : nullptr;
     const int final_pos = static_cast<int>(p);
-    const size_t count = width == 0 ? 0 : fin.size() / width;
+    const size_t count = width == 0 ? 0 : rows.size() / width;
     // When no projection reads the probed instance, every match of one
     // binding projects to the same tuple: the probe is an existence test.
     // Then (a) a binding whose tuple was already emitted is skipped without
@@ -921,7 +768,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
       }
       const size_t hi = std::min(count, lo + morsel);
       for (size_t di = lo; di < hi; ++di) {
-        const RowId* binding = fin.data() + di * width;
+        const RowId* binding = rows.data() + di * width;
         if (!final_has_proj) {
           for (size_t i = 0; i < tuple.size(); ++i) {
             tuple[i] = proj_data[i][binding[proj_pos[i]]];
@@ -989,7 +836,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
     }
     const size_t hi = std::min(out_count, lo + morsel);
     for (size_t bi = lo; bi < hi; ++bi) {
-      const RowId* binding = fin.data() + bi * width;
+      const RowId* binding = rows.data() + bi * width;
       for (size_t i = 0; i < tuple.size(); ++i) {
         tuple[i] = proj_data[i][binding[proj_pos[i]]];
       }

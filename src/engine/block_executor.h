@@ -6,8 +6,8 @@
 // (Section 4.1), i.e. the behaviour of a conventional DBMS executing a
 // candidate query without a get-next interface. The naive baseline's
 // non-progressive validation uses this path; it is also a differential
-// oracle for the pipelined executor in tests, and (with a subplan cache)
-// the validator's exact extra-tuple check for convoy candidates.
+// oracle for the pipelined executor in tests, and the fallback of the
+// validator's exact extra-tuple check.
 //
 // Execution is morsel-driven (DESIGN.md §12): each join step partitions its
 // driving relation into fixed-size morsels, processed either on the calling
@@ -15,17 +15,10 @@
 // result buffers merged back in morsel-index order — so the output table is
 // byte-identical at any thread count, morsel size, or kernel choice.
 //
-// Two sideways accelerations ride on the policy (DESIGN.md §13), both
-// semantics-preserving:
-//   * SIP filters (policy.use_sip): rows whose join value is provably
-//     absent from a future join partner's column are skipped before they
-//     enter an intermediate relation.
-//   * Subplan memoization (policy.subplan_cache): the intermediate after
-//     each join prefix is looked up / stored under a canonical prefix
-//     signature, so convoy candidates sharing a prefix resume from the
-//     deepest cached intermediate instead of rejoining from scratch. Hits
-//     replay the stored pre-filter enumeration count, keeping the
-//     intermediate-size-cap verdict cache-state invariant.
+// SIP filters (policy.use_sip, DESIGN.md §13) ride on the policy and are
+// semantics-preserving: at every join step, rows whose join value is
+// provably absent from a future join partner's column are skipped before
+// they enter an intermediate relation.
 #pragma once
 
 #include <functional>
@@ -42,16 +35,11 @@ namespace fastqre {
 /// call returned OK or stopped at a subset-guard violation; error paths may
 /// leave it partially filled.
 struct BlockRunStats {
-  /// Pre-filter match rows enumerated across all join steps, including the
-  /// replayed counts of memoized prefixes (so the value is identical whether
-  /// a prefix was recomputed or served from cache).
+  /// Pre-filter match rows enumerated across all join steps.
   uint64_t rows_enumerated = 0;
   /// Rows skipped by SIP filters (each had a join value provably absent
   /// from some future join partner).
   uint64_t sip_rows_skipped = 0;
-  /// Join prefixes served from the subplan cache (0 or 1 per call: only the
-  /// deepest cached prefix is consumed).
-  uint64_t subplan_hits = 0;
 };
 
 /// \brief Evaluates `query` with materializing hash joins and returns the
@@ -68,9 +56,8 @@ struct BlockRunStats {
 /// `interrupt` (may be empty) is polled once per morsel of work — including
 /// inside hash-index builds this call triggers — and when it fires the
 /// evaluation stops with ResourceExhausted within one morsel.
-/// `policy` picks the morsel dispatch (serial vs pool workers), SIP
-/// filtering, and subplan memoization; the returned table is byte-identical
-/// under every combination.
+/// `policy` picks the morsel dispatch (serial vs pool workers) and SIP
+/// filtering; the returned table is byte-identical under every combination.
 /// `run_stats` (may be null) receives per-run counters.
 Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
                            const std::string& name,

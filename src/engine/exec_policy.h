@@ -1,6 +1,5 @@
 // Execution policy for one candidate: morsel-driven intra-candidate
-// parallelism, sideways information passing and subplan memoization
-// (DESIGN.md §12-13).
+// parallelism and sideways information passing (DESIGN.md §12-13).
 //
 // The policy travels from QreOptions through the validator into the block
 // executor and the pipelined cursor. Every combination of its knobs yields
@@ -53,10 +52,7 @@ struct ExecPolicy {
   /// visit order, so results stay byte-identical. Off = ablation axis (E15).
   bool use_sip = true;
 
-  /// Cross-candidate memo of block-execution join prefixes (DESIGN.md §13);
-  /// not owned, may be null (no memoization — the --subplan-cache-mb 0
-  /// ablation cell). Hits replay the stored pre-filter enumeration count, so
-  /// every verdict is cache-state invariant.
+  /// Retired and unread; only perfbench/replay.cc still assigns it.
   SubplanCache* subplan_cache = nullptr;
 
   /// The governor charged (and polled for injected faults) for

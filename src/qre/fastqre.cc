@@ -14,7 +14,6 @@
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "engine/compare.h"
-#include "engine/subplan_cache.h"
 #include "qre/cgm.h"
 #include "qre/column_cover.h"
 #include "qre/composer.h"
@@ -287,26 +286,16 @@ FastQre::FastQre(const Database* db, QreOptions options)
                                               options_.walk_cache_admission,
                                               governor_);
   }
-  if (options_.subplan_cache_budget_bytes > 0) {
-    subplan_cache_ = std::make_shared<SubplanCache>(
-        options_.subplan_cache_budget_bytes, options_.subplan_cache_admission,
-        governor_);
-  }
-  if (walk_cache_ != nullptr || subplan_cache_ != nullptr) {
+  if (walk_cache_ != nullptr) {
     // Degradation rung 1 (DESIGN.md §11): under memory pressure, first shed
-    // optional materializations — walk relations and memoized subplans —
-    // down to half their configured budgets. The hook captures the caches
-    // weakly — each cache itself holds the governor by shared_ptr, so a
-    // shared capture here would be a cycle — and a late charge arriving
-    // through the database attachment after a cache died simply finds no
-    // hook target.
+    // the optional walk materializations down to half their configured
+    // budget. The hook captures the cache weakly — the cache itself holds
+    // the governor by shared_ptr, so a shared capture here would be a
+    // cycle — and a late charge arriving through the database attachment
+    // after the cache died simply finds no hook target.
     std::weak_ptr<WalkCache> wcache = walk_cache_;
-    std::weak_ptr<SubplanCache> scache = subplan_cache_;
-    governor_->SetPressureHook([wcache, scache] {
+    governor_->SetPressureHook([wcache] {
       if (std::shared_ptr<WalkCache> c = wcache.lock()) {
-        c->ShrinkTo(c->budget_bytes() / 2);
-      }
-      if (std::shared_ptr<SubplanCache> c = scache.lock()) {
         c->ShrinkTo(c->budget_bytes() / 2);
       }
     });
@@ -331,7 +320,6 @@ FastQre& FastQre::operator=(FastQre&& other) noexcept {
     db_ = other.db_;
     options_ = std::move(other.options_);
     walk_cache_ = std::move(other.walk_cache_);
-    subplan_cache_ = std::move(other.subplan_cache_);
     cancel_token_ = std::move(other.cancel_token_);
     governor_ = std::move(other.governor_);
     pool_ = std::move(other.pool_);
@@ -395,7 +383,6 @@ Result<std::vector<QreAnswer>> FastQre::ReverseAll(
       static_cast<size_t>(std::max(0, options_.intra_row_threshold));
   exec_policy.pool = pool_.get();
   exec_policy.use_sip = options_.use_sip;
-  exec_policy.subplan_cache = subplan_cache_.get();
   // Candidate-local charges go to THIS engine's governor, never the
   // database attachment (which a concurrent engine may have displaced).
   exec_policy.governor = governor_;
@@ -411,14 +398,6 @@ Result<std::vector<QreAnswer>> FastQre::ReverseAll(
   };
   auto attach_run_stats = [&](QreAnswer* a) {
     a->stats.walk_cache_bytes = walk_cache_ ? walk_cache_->bytes() : 0;
-    // Engine-lifetime tallies snapshotted at answer time (exact per-run
-    // totals on a fresh engine, which is how the CLI and benches run).
-    if (subplan_cache_ != nullptr) {
-      a->stats.subplan_cache_hits = subplan_cache_->hits();
-      a->stats.subplan_cache_misses = subplan_cache_->misses();
-      a->stats.subplan_cache_evictions = subplan_cache_->evictions();
-      a->stats.subplan_cache_bytes = subplan_cache_->bytes();
-    }
     a->stats.peak_tracked_bytes = governor_->peak_tracked_bytes();
     a->stats.degradation_events = governor_->degradation_events();
     a->stats.cancelled = run.cause() == StopCause::kCancelled;

@@ -24,7 +24,6 @@ namespace fastqre {
 
 class CancellationToken;
 class ResourceGovernor;
-class SubplanCache;
 class ThreadPool;
 class WalkCache;
 
@@ -150,10 +149,6 @@ class FastQre {
   // cache must outlive any late charge arriving through the database's
   // governor attachment.
   std::shared_ptr<WalkCache> walk_cache_;
-  // Cross-candidate subplan memoization cache (DESIGN.md §13), shared the
-  // same way; null when QreOptions::subplan_cache_budget_bytes is 0.
-  // shared_ptr for the same pressure-hook lifetime reason as walk_cache_.
-  std::shared_ptr<SubplanCache> subplan_cache_;
   // Cancellation + resource governing (DESIGN.md §11). Both are created in
   // the constructor and never null in a live engine (moved-from engines
   // hold nulls and must not be used, as usual).

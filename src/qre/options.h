@@ -130,18 +130,9 @@ struct QreOptions {
   /// ablation axis of experiment E15.
   bool use_sip = true;
 
-  /// Byte budget of the cross-candidate subplan memoization cache
-  /// (SubplanCache): materialized block-execution join prefixes, keyed by
-  /// canonical prefix signature and shared across convoy candidates. Only
-  /// the exact extras check's block fallback reads it. 0 disables
-  /// memoization and nothing else: the fallback then runs unmemoized. Never
-  /// changes accepted answers (DESIGN.md §13).
+  /// Retired and unread by the engine; its only reader is perfbench/replay.cc.
   uint64_t subplan_cache_budget_bytes = 64ull << 20;
-
-  /// Admission threshold of the subplan cache: a join prefix is snapshotted
-  /// once it has been requested this many times. 1 (the default) caches on
-  /// first execution — convoy candidates reuse prefixes immediately, and the
-  /// snapshot is a flat memcpy of an intermediate that was just built anyway.
+  /// Retired and unread by the engine; its only reader is perfbench/replay.cc.
   int subplan_cache_admission = 1;
 
   // --- Ablation toggles (experiment E4). All on by default. ---------------

@@ -51,11 +51,6 @@ std::string QreStats::ToString() const {
                       static_cast<unsigned long long>(walk_cache_bytes));
   out += StringFormat("sideways passing:      %llu rows skipped\n",
                       static_cast<unsigned long long>(sip_rows_skipped));
-  out += StringFormat("subplan cache:         hits=%llu misses=%llu evictions=%llu bytes=%llu\n",
-                      static_cast<unsigned long long>(subplan_cache_hits),
-                      static_cast<unsigned long long>(subplan_cache_misses),
-                      static_cast<unsigned long long>(subplan_cache_evictions),
-                      static_cast<unsigned long long>(subplan_cache_bytes));
   out += StringFormat("resource governor:     peak=%llu bytes, degradations=%llu, cancelled=%s\n",
                       static_cast<unsigned long long>(peak_tracked_bytes),
                       static_cast<unsigned long long>(degradation_events),
@@ -91,13 +86,11 @@ void QreStats::Accumulate(const QreStats& other) {
   walk_cache_hits += other.walk_cache_hits;
   walk_cache_misses += other.walk_cache_misses;
   walk_cache_evictions += other.walk_cache_evictions;
-  walk_cache_bytes += other.walk_cache_bytes;
   sip_rows_skipped += other.sip_rows_skipped;
-  subplan_cache_hits += other.subplan_cache_hits;
-  subplan_cache_misses += other.subplan_cache_misses;
-  subplan_cache_evictions += other.subplan_cache_evictions;
-  subplan_cache_bytes += other.subplan_cache_bytes;
-  // Peak is a high-water mark, not a tally: keep the max across runs.
+  // Gauges snapshotted at answer time, not tallies: keep the max.
+  if (other.walk_cache_bytes > walk_cache_bytes) {
+    walk_cache_bytes = other.walk_cache_bytes;
+  }
   if (other.peak_tracked_bytes > peak_tracked_bytes) {
     peak_tracked_bytes = other.peak_tracked_bytes;
   }

@@ -55,7 +55,8 @@ struct QreStats {
 
   // Walk-materialization cache (DESIGN.md §9). hits/misses count Acquire()
   // calls that did / did not return a materialized relation; bytes is a
-  // gauge snapshotted at answer time (resident relation bytes).
+  // gauge snapshotted at answer time (resident relation bytes), so
+  // Accumulate keeps its max rather than a sum.
   RelaxedCounter walk_cache_hits = 0;
   RelaxedCounter walk_cache_misses = 0;
   RelaxedCounter walk_cache_evictions = 0;
@@ -66,9 +67,8 @@ struct QreStats {
   // predicates but was provably absent from a later join partner).
   RelaxedCounter sip_rows_skipped = 0;
 
-  // Subplan memoization cache (DESIGN.md §13). hits/misses count block-
-  // execution prefix lookups; bytes is a gauge snapshotted at answer time
-  // (resident memoized-prefix bytes).
+  // Retired subplan-cache counters: always 0, and not printed. Their only
+  // reader is perfbench/replay.cc (and perfbench.cc's hit ratio).
   RelaxedCounter subplan_cache_hits = 0;
   RelaxedCounter subplan_cache_misses = 0;
   RelaxedCounter subplan_cache_evictions = 0;
@@ -88,7 +88,8 @@ struct QreStats {
   /// Multi-line human-readable report.
   std::string ToString() const;
 
-  /// Accumulates counters (used by benchmark sweeps).
+  /// Folds `other` into this: tallies add up, while the gauges
+  /// (walk_cache_bytes, peak_tracked_bytes) keep the max.
   void Accumulate(const QreStats& other);
 };
 

@@ -442,12 +442,9 @@ CandidateOutcome Validator::ExtrasCheck(const CandidateQuery& candidate,
 
   // 2. The prefix ended undecided: a large bag of duplicates, typically.
   // Fall back to the block path, whose interface dedup keeps each join
-  // level distinct. With a subplan cache (DESIGN.md §13) it also resumes
-  // from the deepest memoized join prefix. The subset guard (= R_out) stops
-  // the projection at the first distinct tuple outside R_out. The block
-  // executor knows nothing of virtual joins, so the unsubstituted query is
-  // used (prefix signatures then align across the convoy regardless of
-  // which walks were materialized).
+  // level distinct. The subset guard (= R_out) stops the projection at the
+  // first distinct tuple outside R_out. The block executor knows nothing of
+  // virtual joins, so the unsubstituted query is used.
   ++stats_->extras_block_fallbacks;
   bool violated = false;
   BlockRunStats brs;

@@ -13,9 +13,9 @@
 //  3. Progressive full evaluation: stream Q(D) one tuple at a time and stop
 //     at the first contradiction. In exact mode with probing, the extras
 //     check streams at most kExtrasStreamRowCap examined rows; a prefix that
-//     ends undecided falls back to one block evaluation of Q (memoized when
-//     a subplan cache is attached, DESIGN.md §13), guarded to stop at the
-//     first tuple outside R_out.
+//     ends undecided falls back to one block evaluation of Q (with SIP at
+//     every join step, DESIGN.md §13), guarded to stop at the first tuple
+//     outside R_out.
 #pragma once
 
 #include <functional>

@@ -16,8 +16,9 @@ Drives the real binary end to end:
   6. malformed numeric flags (`--threads four`, `--memory-budget-mb 1g`,
      `--scale tiny`): usage error naming the flag, exit 2 — never a silent
      fallback to the default,
-  7. unknown flags (the retired `--no-batch`, the misspelt `--thread 4`):
-     usage error naming the flag, exit 2 — never silently ignored.
+  7. unknown flags (the retired `--no-batch` and `--subplan-cache-mb 0`,
+     the misspelt `--thread 4`): usage error naming the flag, exit 2 —
+     never silently ignored.
 """
 
 import argparse
@@ -150,6 +151,7 @@ def main():
 
         # --- Unknown flags: exit 2, flag named on stderr. -----------------
         for extra, flag in ((["--no-batch"], "no-batch"),
+                            (["--subplan-cache-mb", "0"], "subplan-cache-mb"),
                             (["--thread", "4"], "thread")):
             proc = run(opts.binary,
                        ["reverse", "--db", db, "--rout", rout] + extra)

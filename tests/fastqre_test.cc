@@ -1,5 +1,6 @@
 // End-to-end tests of the FastQre driver: both QRE variants, answer
 // enumeration, option ablations, input validation, budgets, CSV ingestion.
+#include <algorithm>
 #include <ostream>
 
 #include <gtest/gtest.h>
@@ -298,6 +299,20 @@ TEST_F(FastQreTest, StatsAccumulate) {
             a.stats.candidates_generated + b.stats.candidates_generated);
   EXPECT_NEAR(sum.total_seconds, a.stats.total_seconds + b.stats.total_seconds,
               1e-12);
+  // Gauges snapshotted at answer time keep their max, not their sum.
+  EXPECT_EQ(sum.walk_cache_bytes,
+            std::max(a.stats.walk_cache_bytes.value(),
+                     b.stats.walk_cache_bytes.value()));
+  QreStats big, small;
+  big.walk_cache_bytes = 300;
+  big.peak_tracked_bytes = 700;
+  small.walk_cache_bytes = 100;
+  small.peak_tracked_bytes = 200;
+  QreStats folded = small;
+  folded.Accumulate(big);
+  folded.Accumulate(small);
+  EXPECT_EQ(folded.walk_cache_bytes, 300u);
+  EXPECT_EQ(folded.peak_tracked_bytes, 700u);
 }
 
 }  // namespace

@@ -1,9 +1,20 @@
 // Unit tests for HashIndex lookup behavior: the Lookup1 single-column fast
-// path, multi-column lookups over duplicate keys, and empty tables.
+// path, multi-column lookups over duplicate keys, and empty tables — plus
+// the interrupt regression for the hash-index builds that block execution
+// triggers: an interrupt must land inside a large build (every
+// kInterruptPollMask + 1 rows), leave nothing published, and keep the
+// database's index slot rebuildable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "common/interrupt.h"
+#include "common/rng.h"
+#include "datagen/randomdb.h"
+#include "datagen/workload.h"
+#include "engine/block_executor.h"
+#include "storage/database.h"
 #include "storage/index.h"
 #include "storage/table.h"
 
@@ -183,6 +194,82 @@ TEST(HashIndexLookup, NullIdsAreIndexedLikeValues) {
   ASSERT_TRUE(t.AppendRow({Value::Null()}).ok());
   HashIndex index(t, {0});
   EXPECT_EQ(index.Lookup1(kNullValueId), (std::vector<RowId>{0, 2}));
+}
+
+// ---- Interrupt regression: hash-join index builds ---------------------------
+
+// A database whose first table is large enough that an index build crosses
+// several interrupt-poll strides.
+Database BigTableDb() {
+  RandomDbOptions opts;
+  opts.seed = 11;
+  opts.num_tables = 2;
+  opts.min_rows = 3 * (kInterruptPollMask + 1);
+  opts.max_rows = 3 * (kInterruptPollMask + 1) + 10;
+  return BuildRandomDb(opts).ValueOrDie();
+}
+
+TEST(IndexBuildInterrupt, PolledInsideTheBuildNotAfterIt) {
+  Database db = BigTableDb();
+  size_t polls = 0;
+  const HashIndex* idx = db.TryGetOrBuildIndex(
+      0, {0}, [&polls] {
+        ++polls;
+        return false;
+      });
+  ASSERT_NE(idx, nullptr);
+  // One poll per kInterruptPollMask + 1 rows: a 3-stride table must poll at
+  // least 3 times *during* the build, not once around it.
+  EXPECT_GE(polls, 3u);
+}
+
+TEST(IndexBuildInterrupt, AbortPublishesNothingAndSlotStaysRebuildable) {
+  Database db = BigTableDb();
+  // Fire on the second poll: the build starts, then aborts mid-scan.
+  size_t polls = 0;
+  const HashIndex* aborted = db.TryGetOrBuildIndex(
+      0, {0}, [&polls] { return ++polls >= 2; });
+  EXPECT_EQ(aborted, nullptr);
+  EXPECT_GE(polls, 2u);
+  EXPECT_EQ(db.index_stats().indexes_built.value(), 0u);
+  // The slot was handed back: a later caller rebuilds successfully.
+  const HashIndex* rebuilt = db.TryGetOrBuildIndex(0, {0}, {});
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_EQ(db.index_stats().indexes_built.value(), 1u);
+}
+
+TEST(IndexBuildInterrupt, ExecuteBlockAbortsCleanlyAtEveryPollDepth) {
+  // ExecuteBlock's hash-join build side must consult the interrupt inside
+  // the build, not only after it. Sweeping the firing poll across the
+  // call's whole poll sequence lands aborts inside the scan morsels AND
+  // inside the index build (a 3-stride table polls >= 3 times there); every
+  // abort must surface as ResourceExhausted, publish no half-built index
+  // the rerun could not rebuild, and leave the database fully usable.
+  RandomQueryOptions q_opts;
+  q_opts.num_instances = 2;
+  q_opts.min_rout_rows = 0;
+  for (size_t fire_at : {size_t{1}, size_t{2}, size_t{4}, size_t{8},
+                         size_t{16}}) {
+    // Fresh database per depth: the lazy index cache must start unbuilt for
+    // the build-side polls to exist at all.
+    Database db = BigTableDb();
+    Rng qrng(13);
+    auto wq = RandomCpjQuery(db, &qrng, q_opts);
+    ASSERT_TRUE(wq.ok());
+    size_t polls = 0;
+    auto r = ExecuteBlock(db, wq->query, "block",
+                          [&polls, fire_at] { return ++polls >= fire_at; });
+    SCOPED_TRACE("fire_at=" + std::to_string(fire_at));
+    if (polls < fire_at) {
+      // The whole call finished within fewer polls; nothing to abort.
+      EXPECT_TRUE(r.ok());
+      continue;
+    }
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    // The same call without an interrupt succeeds on the same database.
+    EXPECT_TRUE(ExecuteBlock(db, wq->query, "block").ok());
+  }
 }
 
 }  // namespace

@@ -226,34 +226,32 @@ TEST_F(ParallelQreTest, WalkCacheDeterminismMatrix) {
   }
 }
 
+// The name predates the subplan memo's removal; it is kept so the test id
+// stays stable.
 TEST_F(ParallelQreTest, SubplanCacheDeterminismMatrix) {
-  // DESIGN.md §13: subplan memoization and SIP filtering must not change
-  // accepted answers. Every (cache budget, thread count) combination —
-  // including a pathologically tiny budget that keeps evicting mid-convoy —
-  // must reproduce the both-off serial answer byte-for-byte.
+  // DESIGN.md §13: SIP filtering must not change accepted answers. Every
+  // (SIP, thread count) combination must reproduce the SIP-off serial
+  // answer byte-for-byte.
   for (int i : {8, 9}) {  // L09/L10: the convoy-heavy cyclic ladder entries
     QreOptions off;
     off.use_sip = false;
-    off.subplan_cache_budget_bytes = 0;
     FastQre reference_engine(&db_, off);
     QreAnswer reference =
         reference_engine.Reverse(workload_[i].rout).ValueOrDie();
 
-    for (uint64_t budget : {uint64_t{4} << 10, uint64_t{64} << 20}) {
+    for (bool sip : {false, true}) {
       for (int threads : {1, 8}) {
         QreOptions opts;
-        opts.use_sip = true;
-        opts.subplan_cache_budget_bytes = budget;
-        opts.subplan_cache_admission = 0;  // maximal cache involvement
+        opts.use_sip = sip;
         opts.validation_threads = threads;
         FastQre engine(&db_, opts);
         QreAnswer got = engine.Reverse(workload_[i].rout).ValueOrDie();
-        SCOPED_TRACE(workload_[i].name + " budget=" + std::to_string(budget) +
+        SCOPED_TRACE(workload_[i].name + " sip=" + std::to_string(sip) +
                      " threads=" + std::to_string(threads));
         EXPECT_EQ(got.found, reference.found);
         EXPECT_EQ(got.sql, reference.sql);
         EXPECT_EQ(got.failure_reason, reference.failure_reason);
-        ExpectConsistentStats(got.stats, "subplan-cache matrix");
+        ExpectConsistentStats(got.stats, "sip matrix");
       }
     }
   }

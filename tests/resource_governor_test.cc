@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -100,12 +102,17 @@ TEST(FaultInjectorTest, ParsesMultiRuleSpec) {
       "index-build=alloc-fail,parallel-worker=delay@3,answer-found=cancel@2");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ((*r)->num_rules(), 3u);
+  for (std::string_view site : kFaultSites) {
+    const std::string spec = std::string(site) + "=cancel";
+    EXPECT_TRUE(FaultInjector::Parse(spec).ok()) << spec;
+  }
 }
 
 TEST(FaultInjectorTest, RejectsMalformedSpecs) {
   for (const char* spec :
-       {"nonsense", "site=", "site=explode", "=cancel", "site=cancel@0",
-        "site=cancel@", "site=cancel@x"}) {
+       {"nonsense", "index-build=", "index-build=explode", "=cancel",
+        "index-build=cancel@0", "index-build=cancel@", "index-build=cancel@x",
+        "site=cancel", "subplan-build=cancel", "Index-build=cancel"}) {
     auto r = FaultInjector::Parse(spec);
     EXPECT_FALSE(r.ok()) << "spec should have been rejected: " << spec;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << spec;
@@ -113,12 +120,14 @@ TEST(FaultInjectorTest, RejectsMalformedSpecs) {
 }
 
 TEST(FaultInjectorTest, AllocFailFiresFromNthHitOnward) {
-  auto injector = std::move(FaultInjector::Parse("s=alloc-fail@3")).ValueOrDie();
-  EXPECT_FALSE(injector->Hit("s").alloc_fail);
-  EXPECT_FALSE(injector->Hit("other").alloc_fail);  // other sites unaffected
-  EXPECT_FALSE(injector->Hit("s").alloc_fail);
-  EXPECT_TRUE(injector->Hit("s").alloc_fail);  // third hit of "s"
-  EXPECT_TRUE(injector->Hit("s").alloc_fail);  // ...and every one after
+  auto injector =
+      std::move(FaultInjector::Parse("index-build=alloc-fail@3")).ValueOrDie();
+  EXPECT_FALSE(injector->Hit("index-build").alloc_fail);
+  // Other sites are unaffected.
+  EXPECT_FALSE(injector->Hit("filter-build").alloc_fail);
+  EXPECT_FALSE(injector->Hit("index-build").alloc_fail);
+  EXPECT_TRUE(injector->Hit("index-build").alloc_fail);  // third hit
+  EXPECT_TRUE(injector->Hit("index-build").alloc_fail);  // ...and after
 }
 
 TEST(ResourceGovernorTest, InjectedAllocFailRefusesOptionalCharge) {

@@ -227,11 +227,11 @@ TEST_F(WireChaosTest, WireFaultKindsParse) {
 
   // Windowed rules fire on hits [n, m] only — what makes a destructive
   // kind like reset recoverable within one server's lifetime.
-  auto windowed = FaultInjector::Parse("w=reset@2..3").ValueOrDie();
-  EXPECT_FALSE(windowed->Hit("w").reset);  // hit 1
-  EXPECT_TRUE(windowed->Hit("w").reset);   // hit 2
-  EXPECT_TRUE(windowed->Hit("w").reset);   // hit 3
-  EXPECT_FALSE(windowed->Hit("w").reset);  // hit 4
+  auto windowed = FaultInjector::Parse("wire-write=reset@2..3").ValueOrDie();
+  EXPECT_FALSE(windowed->Hit("wire-write").reset);  // hit 1
+  EXPECT_TRUE(windowed->Hit("wire-write").reset);   // hit 2
+  EXPECT_TRUE(windowed->Hit("wire-write").reset);   // hit 3
+  EXPECT_FALSE(windowed->Hit("wire-write").reset);  // hit 4
 
   // A malformed spec fails Start(), not silently serves without chaos.
   ServerConfig config;

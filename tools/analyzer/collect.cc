@@ -295,8 +295,7 @@ class Collector : public RecursiveASTVisitor<Collector> {
     const CXXRecordDecl* rec = canon->getAsCXXRecordDecl();
     if (rec == nullptr) return false;
     llvm::StringRef n = rec->getName();
-    if (n == "BitmapFilter" || n == "CompositeKeyFilter" ||
-        n == "SubplanTable") {
+    if (n == "BitmapFilter" || n == "CompositeKeyFilter") {
       *which = n.str();
       return true;
     }

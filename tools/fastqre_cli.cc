@@ -8,8 +8,7 @@
 //       Materialize a ladder query's output as a CSV "report" to reverse.
 //   fastqre reverse --db DIR --rout FILE.csv [--superset] [--budget S]
 //                   [--alpha A] [--all K] [--threads N] [--intra-threads N]
-//                   [--morsel-size M] [--no-sip]
-//                   [--walk-cache-mb MB] [--subplan-cache-mb MB]
+//                   [--morsel-size M] [--no-sip] [--walk-cache-mb MB]
 //                   [--memory-budget-mb MB] [--cancel-after S]
 //                   [--stats] [--stats-json] [--verify] [--trace]
 //       Reverse engineer a generating query for the report. --threads N
@@ -22,10 +21,8 @@
 //       (the validating thread and N-1 helpers), and --morsel-size
 //       sets the tuples-per-morsel granularity (DESIGN.md §12) — both leave
 //       the answer byte-identical.
-//       --no-sip disables sideways-information-passing bitmap filters and
-//       --subplan-cache-mb sets the budget of the cross-candidate subplan
-//       memoization behind the extras check's block fallback (0 disables
-//       memoization only; DESIGN.md §13) — again answer-preserving.
+//       --no-sip disables sideways-information-passing bitmap filters
+//       (DESIGN.md §13) — again answer-preserving.
 //       --memory-budget-mb caps the tracked search-path allocations
 //       (DESIGN.md §11; 0 = unlimited); --cancel-after fires Cancel() from a
 //       watchdog thread after S seconds — the external-cancellation test
@@ -76,8 +73,8 @@ int Usage() {
       "  fastqre reverse --db DIR --rout FILE.csv [--superset] [--budget S]\n"
       "                  [--alpha A] [--all K] [--threads N]\n"
       "                  [--intra-threads N] [--morsel-size M] [--no-sip]\n"
-      "                  [--walk-cache-mb MB] [--subplan-cache-mb MB]\n"
-      "                  [--memory-budget-mb MB] [--cancel-after S]\n"
+      "                  [--walk-cache-mb MB] [--memory-budget-mb MB]\n"
+      "                  [--cancel-after S]\n"
       "                  [--stats] [--stats-json] [--verify] [--trace]\n"
       "  fastqre run --db DIR --sql QUERY [--limit N]\n"
       "  fastqre tune --db DIR\n"
@@ -197,10 +194,6 @@ std::string StatsToJson(const QreStats& s, bool found,
   num("walk_cache_evictions", s.walk_cache_evictions);
   num("walk_cache_bytes", s.walk_cache_bytes);
   num("sip_rows_skipped", s.sip_rows_skipped);
-  num("subplan_cache_hits", s.subplan_cache_hits);
-  num("subplan_cache_misses", s.subplan_cache_misses);
-  num("subplan_cache_evictions", s.subplan_cache_evictions);
-  num("subplan_cache_bytes", s.subplan_cache_bytes);
   num("peak_tracked_bytes", s.peak_tracked_bytes);
   num("degradation_events", s.degradation_events);
   out += StringFormat("\"cancelled\":%s}", s.cancelled ? "true" : "false");
@@ -310,12 +303,6 @@ int CmdReverse(const Flags& flags) {
     return 2;
   }
   opts.walk_cache_budget_bytes = static_cast<uint64_t>(cache_mb) << 20;
-  long long subplan_mb = flags.GetInt("subplan-cache-mb", 64);
-  if (subplan_mb < 0) {
-    std::fprintf(stderr, "error: --subplan-cache-mb must be >= 0\n");
-    return 2;
-  }
-  opts.subplan_cache_budget_bytes = static_cast<uint64_t>(subplan_mb) << 20;
   long long mem_mb = flags.GetInt("memory-budget-mb", 0);
   if (mem_mb < 0) {
     std::fprintf(stderr, "error: --memory-budget-mb must be >= 0\n");
@@ -449,8 +436,8 @@ int main(int argc, char** argv) {
        CmdReverse,
        {"db", "rout", "superset", "budget", "alpha", "all", "threads",
         "intra-threads", "morsel-size", "no-sip", "walk-cache-mb",
-        "subplan-cache-mb", "memory-budget-mb", "cancel-after", "stats",
-        "stats-json", "verify", "trace"}},
+        "memory-budget-mb", "cancel-after", "stats", "stats-json", "verify",
+        "trace"}},
       {"run", CmdRun, {"db", "sql", "limit"}},
       {"tune", CmdTune, {"db"}},
   };
